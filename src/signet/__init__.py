@@ -1,6 +1,7 @@
 """Balanced signed Chung-Lu modeling toolkit for signed networks."""
 
 from .baseline import analytic_triangle_distribution, stcl_generate
+from .evaluate import evaluate
 from .generate import generate
 from .graph import Sign, SignedGraph, build_graph, build_sampling_vector, two_hop_walk
 from .io import ingest_ratings, read_canonical, read_graph, write_canonical
@@ -36,6 +37,7 @@ __all__ = [
     "ModelParams",
     "learn_parameters",
     "generate",
+    "evaluate",
     "stcl_generate",
     "analytic_triangle_distribution",
 ]

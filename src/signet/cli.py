@@ -16,7 +16,6 @@ from . import baseline as baseline_mod
 from .errors import SignetError
 from .evaluate import evaluate as run_evaluate
 from .generate import generate as run_generate
-from .graph import SignedGraph
 from .io import read_graph, write_canonical
 from .learn import LearnConfig, ModelParams, learn_parameters
 from .metrics import stats_report
@@ -39,13 +38,6 @@ def _write_tsv(path, header_cols, rows):
             fh.write("\t".join(str(x) for x in row) + "\n")
 
 
-def _load(path) -> SignedGraph:
-    try:
-        return read_graph(path)
-    except SignetError as exc:
-        raise click.ClickException(str(exc)) from exc
-
-
 def _learn_config(seed, em_samples, em_iters) -> LearnConfig:
     cfg = LearnConfig(seed=seed)
     if em_samples is not None:
@@ -55,7 +47,17 @@ def _learn_config(seed, em_samples, em_iters) -> LearnConfig:
     return cfg
 
 
-@click.group()
+class _Group(click.Group):
+    """Reports a SignetError from any command as a one-line error, exit 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except SignetError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Group)
 def main():
     """Signed-network modeling toolkit."""
 
@@ -65,7 +67,7 @@ def main():
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
 def analyze(input_path, out_dir):
     """Measure a network and emit stats JSON plus plot-data TSVs."""
-    g = _load(input_path)
+    g = read_graph(input_path)
     os.makedirs(out_dir, exist_ok=True)
     stats = stats_report(g)
     _write_json(
@@ -110,7 +112,7 @@ def analyze(input_path, out_dir):
 @click.option("--em-iters", type=int, default=None)
 def learn(input_path, out_path, seed, em_samples, em_iters):
     """Learn model parameters from a network."""
-    g = _load(input_path)
+    g = read_graph(input_path)
     params = learn_parameters(g, _learn_config(seed, em_samples, em_iters))
     payload = params.to_dict()
     payload["config"] = {"seed": seed, "em_samples": em_samples, "em_iters": em_iters}
@@ -156,7 +158,7 @@ def _generate_runs(g, params, runs, seed, out_dir, policy="balance"):
               show_default=True, help="iid = STCL baseline signs")
 def generate(input_path, params_path, runs, seed, outdir, policy):
     """Generate R synthetic networks; run r uses seed S+r."""
-    g = _load(input_path)
+    g = read_graph(input_path)
     with open(params_path, "r", encoding="utf-8") as fh:
         params = ModelParams.from_dict(json.load(fh))
     paths = _generate_runs(g, params, runs, seed, outdir, policy)
@@ -171,7 +173,7 @@ def generate(input_path, params_path, runs, seed, outdir, policy):
               show_default=True)
 def evaluate(input_path, generated_dir, out_path, fmt):
     """Compare generated networks in a directory against the input."""
-    g = _load(input_path)
+    g = read_graph(input_path)
     gen_paths = sorted(
         os.path.join(generated_dir, f)
         for f in os.listdir(generated_dir)
@@ -179,7 +181,7 @@ def evaluate(input_path, generated_dir, out_path, fmt):
     )
     if not gen_paths:
         raise click.ClickException(f"no generated_*.tsv files in {generated_dir}")
-    report = run_evaluate(g, [_load(p) for p in gen_paths])
+    report = run_evaluate(g, [read_graph(p) for p in gen_paths])
     if fmt == "json":
         _write_json(out_path, report.to_dict())
     else:
@@ -223,7 +225,7 @@ def _parse_grid(text):
 @click.option("--em-iters", type=int, default=None)
 def sweep(input_path, alpha_grid, beta_grid, runs, seed, out_path, em_samples, em_iters):
     """Grid search over (alpha, beta); emits surface data for each point."""
-    g = _load(input_path)
+    g = read_graph(input_path)
     learned = learn_parameters(g, _learn_config(seed, em_samples, em_iters))
     alphas = _parse_grid(alpha_grid)
     betas = _parse_grid(beta_grid)

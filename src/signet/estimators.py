@@ -67,7 +67,7 @@ def delta_random_fast(degrees: Sequence[int], m: int) -> float:
     avg_d2 = float((d * d).mean())
     s = suffix_degree_sums(d)
     total = _weighted_suffix_dot(d, s)
-    return (avg_d2 - avg_d) / (avg_d * m * n * (n - 1)) * total
+    return float((avg_d2 - avg_d) / (avg_d * m * n * (n - 1)) * total)
 
 
 def delta_random_nested(degrees: Sequence[int], m: int) -> float:
@@ -132,7 +132,7 @@ def delta_triangle_fast(degrees: Sequence[int], m: int) -> float:
     s = suffix_degree_sums(d)
     idx = np.arange(1, n + 1, dtype=np.float64)
     extra = _weighted_suffix_dot(d - 1.0, s - n + idx)
-    return 1.0 + (avg_d2 - avg_d) / (avg_d * m * n * (n - 1)) * extra
+    return float(1.0 + (avg_d2 - avg_d) / (avg_d * m * n * (n - 1)) * extra)
 
 
 def delta_triangle_exact(degrees: Sequence[int], m: int) -> float:

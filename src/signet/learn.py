@@ -1,5 +1,11 @@
 """Parameter learning: EM for the wedge-closure rate and alternating
 closed-form updates for the sign-correction and balance parameters.
+
+The EM's wedge likelihoods do not depend on rho, so they are computed once
+per edge orientation from the shared triangle listing (``metrics``), with
+sums taken in the same order as the scalar definition
+``em_edge_responsibility``; each iteration then scores its edge sample with
+array expressions and gives the same rho, bit for bit.
 """
 
 from __future__ import annotations
@@ -9,6 +15,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from .errors import EmptyGraphError, RhoAtOneError
 from .estimators import (
     TriangleEstimates,
@@ -17,11 +25,12 @@ from .estimators import (
     delta_triangle_fast,
 )
 from .graph import SignedGraph
-from .metrics import compute_eta, triangle_census
+from .metrics import EdgeArrays, compute_eta, list_triangles, triangle_census
 
 log = logging.getLogger(__name__)
 
 RHO_EPS = 1e-6
+TERM_BLOCK = 1 << 16  # sorted wedge terms summed per numpy block
 
 
 @dataclass
@@ -83,7 +92,8 @@ def em_edge_responsibility(
     Wedge likelihood walks every neighbor v_k of v_i and accumulates
     1/(d_i d_k) when v_k also neighbors v_j; the random-insertion
     likelihood is the chance of drawing the second endpoint from the
-    sampling vector, d_j / 2M.
+    sampling vector, d_j / 2M. This is the reference definition;
+    ``em_learn_rho`` reproduces it for whole edge samples at once.
     """
     d_i = len(g.adj[v_i])
     wedge = 0.0
@@ -98,6 +108,59 @@ def em_edge_responsibility(
     return w / (w + r)
 
 
+def _wedge_terms(edges: EdgeArrays) -> np.ndarray:
+    """Sorted ``slot * M + key`` composites, one per wedge-likelihood term.
+
+    Slot 2e + o is edge e conditioned on its smaller (o = 0) or larger
+    (o = 1) endpoint v_i. A triangle (i, j, k) gives slot (i -> j) the term
+    1/(d_i d_k), keyed by the index of edge (i, k): k's place in adj[i].
+    """
+    m = len(edges.u)
+    tri = list_triangles(edges)
+    t = len(tri.x)
+    terms = np.empty(6 * t, dtype=np.int64)
+    # (edge i-j, v_i, v_j, edge i-k) for the six orientations of each triangle.
+    for part, (e, i, j, key) in enumerate([
+        (tri.xa, tri.x, tri.a, tri.xb),
+        (tri.xa, tri.a, tri.x, tri.ab),
+        (tri.xb, tri.x, tri.b, tri.xa),
+        (tri.xb, tri.b, tri.x, tri.ab),
+        (tri.ab, tri.a, tri.b, tri.xa),
+        (tri.ab, tri.b, tri.a, tri.xb),
+    ]):
+        terms[part * t:(part + 1) * t] = (2 * e + (i > j)) * m + key
+    terms.sort()
+    return terms
+
+
+def wedge_likelihoods(edges: EdgeArrays) -> np.ndarray:
+    """Wedge likelihood of every edge orientation, indexed by slot 2e + o.
+
+    Equal bit for bit to the ``wedge`` sum of ``em_edge_responsibility``:
+    each slot's terms are summed by ``np.bincount`` in key order, which is
+    the order of the scalar walk over adj[v_i], and a block never splits a
+    slot.
+    """
+    m = len(edges.u)
+    deg = edges.degrees
+    terms = _wedge_terms(edges)
+    wedge = np.zeros(2 * m)
+    start = 0
+    while start < len(terms):
+        stop = min(start + TERM_BLOCK, len(terms))
+        if stop < len(terms):
+            stop = int(np.searchsorted(terms, (terms[stop - 1] // m + 1) * m))
+        slot, key = np.divmod(terms[start:stop], m)
+        e = slot >> 1
+        i = np.where(slot & 1, edges.v[e], edges.u[e])
+        k = edges.u[key] + edges.v[key] - i
+        wedge[slot[0]:slot[-1] + 1] = np.bincount(
+            slot - slot[0], weights=1.0 / (deg[i] * deg[k])
+        )
+        start = stop
+    return wedge
+
+
 def em_learn_rho(g: SignedGraph, cfg: LearnConfig) -> tuple[float, list[dict]]:
     """EM iteration: average responsibilities over a uniform edge sample.
 
@@ -108,17 +171,23 @@ def em_learn_rho(g: SignedGraph, cfg: LearnConfig) -> tuple[float, list[dict]]:
         raise EmptyGraphError("cannot learn on an empty graph")
     rng = random.Random(cfg.seed)
     s = cfg.sample_size(g.m)
+    edges = EdgeArrays.of(g)
+    wedge = wedge_likelihoods(edges)
+    # Random-insertion likelihood d_j / 2M of the far endpoint, per slot.
+    far = np.stack([edges.degrees[edges.v], edges.degrees[edges.u]], axis=1)
+    random_lik = far.ravel() / (2.0 * g.m)
     rho = cfg.rho_init
     trace = []
     for it in range(cfg.em_max_iters):
-        sample = rng.sample(range(g.m), s) if s < g.m else range(g.m)
-        total = 0.0
-        for idx in sample:
-            u, v, _ = g.edges[idx]
-            if rng.random() < 0.5:
-                u, v = v, u
-            total += em_edge_responsibility(g, u, v, rho)
-        new_rho = total / s
+        idx = np.array(rng.sample(range(g.m), s)) if s < g.m else np.arange(g.m)
+        flip = np.array([rng.random() < 0.5 for _ in range(s)])
+        slot = 2 * idx + flip
+        w = rho * wedge[slot]
+        r = (1.0 - rho) * random_lik[slot]
+        resp = np.zeros(s)
+        np.divide(w, w + r, out=resp, where=w != 0.0)
+        # cumsum adds in sample order like the scalar loop; np.sum would not.
+        new_rho = float(np.cumsum(resp)[-1]) / s
         delta = abs(new_rho - rho)
         trace.append({"iteration": it, "rho": new_rho, "delta": delta})
         rho = new_rho

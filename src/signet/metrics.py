@@ -3,17 +3,26 @@
 Covers the sign ratio, the full signed triangle census (with per-vertex
 triangle counts feeding local clustering), the balanced-triangle fraction
 and the degree histogram.
+
+Triangles come from one vectorised listing (``list_triangles``) over the
+edge arrays (``EdgeArrays``); the census here and the EM wedge likelihoods
+in ``learn`` both read it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .errors import EmptyGraphError, NoTrianglesError
 from .graph import SignedGraph
 
 TRIANGLE_TYPES = ("+++", "++-", "+--", "---")
+
+WEDGE_BLOCK = 1 << 16  # forward wedges checked per numpy block
 
 
 @dataclass(frozen=True)
@@ -65,45 +74,109 @@ def compute_eta(g: SignedGraph) -> float:
     return g.m_positive / g.m
 
 
+@dataclass(frozen=True)
+class EdgeArrays:
+    """``g.edges`` as numpy columns, in edge-index order, plus degrees.
+
+    ``build_graph`` fills every ``adj[a]`` in ``g.edges`` order, so the
+    position of neighbour ``c`` in ``adj[a]`` follows the index of edge
+    (a, c). Keying a per-neighbour term by edge index therefore replays the
+    order in which a walk over ``adj[a]`` meets it.
+    """
+
+    u: np.ndarray  # int64, smaller endpoint
+    v: np.ndarray  # int64, larger endpoint
+    negative: np.ndarray  # bool
+    degrees: np.ndarray  # int64, length n
+
+    @classmethod
+    def of(cls, g: SignedGraph) -> "EdgeArrays":
+        flat = np.fromiter(
+            chain.from_iterable(g.edges), dtype=np.int64, count=3 * g.m
+        ).reshape(g.m, 3)
+        u, v = flat[:, 0].copy(), flat[:, 1].copy()
+        degrees = np.bincount(u, minlength=g.n) + np.bincount(v, minlength=g.n)
+        return cls(u=u, v=v, negative=flat[:, 2] < 0, degrees=degrees)
+
+
+@dataclass(frozen=True)
+class TriangleList:
+    """Every triangle once, as found at its lowest-ranked vertex ``x`` with
+    forward neighbours ``a`` and ``b``; ``xa``, ``xb`` and ``ab`` are the
+    indices of its edges in ``g.edges``.
+    """
+
+    x: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    xa: np.ndarray
+    xb: np.ndarray
+    ab: np.ndarray
+
+
+def list_triangles(edges: EdgeArrays) -> TriangleList:
+    """Degree-ordered forward triangle listing over edge arrays.
+
+    Vertices are ranked by (degree, id) and each edge points from its
+    lower-ranked to its higher-ranked endpoint, so every triangle has one
+    vertex whose two forward edges make a wedge closed by the third. The
+    forward wedges are enumerated in blocks of ``WEDGE_BLOCK`` (a block may
+    cut inside a hub's row) and each closing pair is looked up in the
+    sorted forward edge keys, keeping memory bounded by the block size plus
+    the triangles found.
+    """
+    n, m = len(edges.degrees), len(edges.u)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(edges.degrees, kind="stable")] = np.arange(n)
+    ru, rv = rank[edges.u], rank[edges.v]
+    lo, hi = np.minimum(ru, rv), np.maximum(ru, rv)
+    # Forward edges sorted by (lo, hi): each lo's row lists its forward
+    # neighbours in rank order.
+    fwd = np.argsort(lo * n + hi)
+    flo, fhi = lo[fwd], hi[fwd]
+    fkey = flo * n + fhi
+    row_end = np.cumsum(np.bincount(flo, minlength=n))
+    # Forward edge p pairs with every later edge of its row: row_len[p] wedges.
+    row_len = row_end[flo] - 1 - np.arange(m)
+    wedge_end = np.cumsum(row_len)
+    n_wedges = int(wedge_end[-1]) if m else 0
+    by_rank = np.argsort(rank)
+    found: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    for w0 in range(0, n_wedges, WEDGE_BLOCK):
+        w = np.arange(w0, min(w0 + WEDGE_BLOCK, n_wedges))
+        p = np.searchsorted(wedge_end, w, side="right")
+        q = p + 1 + w - (wedge_end[p] - row_len[p])
+        key = fhi[p] * n + fhi[q]
+        pos = np.minimum(np.searchsorted(fkey, key), m - 1)
+        hit = fkey[pos] == key
+        found.append((p[hit], q[hit], pos[hit]))
+    if found:
+        p, q, pos = (np.concatenate(parts) for parts in zip(*found))
+    else:
+        p = q = pos = np.empty(0, dtype=np.int64)
+    return TriangleList(
+        x=by_rank[flo[p]], a=by_rank[fhi[p]], b=by_rank[fhi[q]],
+        xa=fwd[p], xb=fwd[q], ab=fwd[pos],
+    )
+
+
 def triangle_census(g: SignedGraph, per_vertex: list[int] | None = None) -> TriangleCensus:
     """Count each triangle once, classified by its three edge signs.
 
-    Degree-ordered forward listing: vertices are ranked by (degree, id) and
-    each triangle is discovered at its lowest-ranked vertex, giving
-    O(M * d_max)-class work. When ``per_vertex`` is passed (a zeroed list of
-    length n) it is filled with the sign-agnostic triangle count through
-    each vertex.
+    Runs on the shared forward listing (``list_triangles``): the census is
+    a bincount of each triangle's negative-edge count. When ``per_vertex``
+    is passed (a zeroed list of length n) it is filled with the
+    sign-agnostic triangle count through each vertex.
     """
-    n = g.n
-    order = sorted(range(n), key=lambda v: (len(g.adj[v]), v))
-    rank = [0] * n
-    for r, v in enumerate(order):
-        rank[v] = r
-
-    # back[v] holds already-processed neighbors of v (lower rank than the
-    # current frontier); intersecting back[s] and back[t] lists triangles.
-    back: list[dict[int, int]] = [dict() for _ in range(n)]
-    counts = [0, 0, 0, 0]  # indexed by number of negative edges
-    for s in order:
-        adj_s = g.adj[s]
-        rs = rank[s]
-        bs = back[s]
-        for t, s_st in adj_s.items():
-            if rank[t] < rs:
-                continue
-            bt = back[t]
-            small, large = (bs, bt) if len(bs) <= len(bt) else (bt, bs)
-            for x in small:
-                if x in large:
-                    neg = (
-                        (s_st < 0) + (g.adj[x][s] < 0) + (g.adj[x][t] < 0)
-                    )
-                    counts[neg] += 1
-                    if per_vertex is not None:
-                        per_vertex[x] += 1
-                        per_vertex[s] += 1
-                        per_vertex[t] += 1
-            bt[s] = 1
+    edges = EdgeArrays.of(g)
+    tri = list_triangles(edges)
+    neg = edges.negative
+    counts = np.bincount(
+        neg[tri.xa].astype(np.int64) + neg[tri.xb] + neg[tri.ab], minlength=4
+    ).tolist()
+    if per_vertex is not None:
+        through = np.bincount(np.concatenate([tri.x, tri.a, tri.b]), minlength=g.n)
+        per_vertex[:] = (through + np.asarray(per_vertex, dtype=np.int64)).tolist()
     return TriangleCensus(ppp=counts[0], ppm=counts[1], pmm=counts[2], mmm=counts[3])
 
 
@@ -118,11 +191,17 @@ def local_clustering(g: SignedGraph) -> list[float]:
     """Per-vertex clustering c_i = 2 T_i / (d_i (d_i - 1)); 0 when d_i < 2."""
     per_vertex = [0] * g.n
     triangle_census(g, per_vertex=per_vertex)
-    coeffs = []
-    for v in range(g.n):
-        d = len(g.adj[v])
-        coeffs.append(2.0 * per_vertex[v] / (d * (d - 1)) if d >= 2 else 0.0)
-    return coeffs
+    return _clustering(per_vertex, g.degrees())
+
+
+def _clustering(per_vertex: list[int], degrees: list[int]) -> list[float]:
+    d = np.asarray(degrees, dtype=np.int64)
+    coeffs = np.zeros(len(d))
+    np.divide(
+        2.0 * np.asarray(per_vertex, dtype=np.int64), d * (d - 1),
+        out=coeffs, where=d >= 2,
+    )
+    return coeffs.tolist()
 
 
 def stats_report(g: SignedGraph) -> GraphStats:
@@ -130,10 +209,7 @@ def stats_report(g: SignedGraph) -> GraphStats:
     per_vertex = [0] * g.n
     census = triangle_census(g, per_vertex=per_vertex)
     degrees = g.degrees()
-    clustering = tuple(
-        2.0 * per_vertex[v] / (d * (d - 1)) if d >= 2 else 0.0
-        for v, d in enumerate(degrees)
-    )
+    clustering = tuple(_clustering(per_vertex, degrees))
     delta_b = census.balanced / census.total if census.total > 0 else 0.0
     return GraphStats(
         eta=compute_eta(g),

@@ -133,3 +133,15 @@ def test_pipeline_end_to_end(runner, network_file, tmp_path):
     report = json.loads((outdir / "report.json").read_text())
     for v in report["mean"].values():
         assert v == v  # no NaN
+
+
+def test_signet_error_is_one_line_nonzero_exit(runner, tmp_path):
+    # One edge: learning has no triangle estimates to work from.
+    path = tmp_path / "one_edge.tsv"
+    path.write_text("0\t1\t+1\n")
+    result = runner.invoke(main, ["learn", str(path), "--out", str(tmp_path / "p.json")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert errors == ["Error: need N >= 3 and M >= 2"]

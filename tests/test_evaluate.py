@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from signet.evaluate import evaluate, ks_statistic, triangle_l1
+from signet.evaluate import EvaluationReport, evaluate, ks_statistic, triangle_l1
 from signet.generate import generate
+from signet.io import write_canonical
 from signet.learn import ModelParams
 from tests.conftest import power_law_signed_graph
 
@@ -48,3 +51,15 @@ def test_evaluate_fields_all_finite():
             assert np.isfinite(v)
     for v in report.mean.values():
         assert np.isfinite(v)
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    snippet = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    write_canonical(power_law_signed_graph(150, 500, seed=2, eta=0.85), tmp_path / "input.tsv")
+    monkeypatch.chdir(tmp_path)
+    scope: dict = {}
+    exec(snippet, scope)
+    report = scope["report"]
+    assert isinstance(report, EvaluationReport)
+    assert len(report.runs) == len(scope["runs"]) > 0

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from signet import learn, metrics
 from signet.errors import EmptyGraphError, RhoAtOneError
 from signet.estimators import TriangleEstimates
 from signet.graph import Sign, build_graph
@@ -16,6 +17,7 @@ from signet.learn import (
     update_alpha,
     update_beta,
 )
+from tests.conftest import power_law_signed_graph, random_signed_graph
 
 
 def est(dr, drb, dt):
@@ -183,3 +185,84 @@ def test_model_params_round_trip():
     assert (q.rho, q.alpha, q.beta, q.eta, q.delta_b) == (
         p.rho, p.alpha, p.beta, p.eta, p.delta_b,
     )
+
+
+def em_learn_rho_oracle(g, cfg):
+    """The per-edge EM loop that em_learn_rho vectorises: same RNG calls,
+    each responsibility from the scalar definition, summed in sample order."""
+    rng = random.Random(cfg.seed)
+    s = cfg.sample_size(g.m)
+    rho = cfg.rho_init
+    trace = []
+    for it in range(cfg.em_max_iters):
+        sample = rng.sample(range(g.m), s) if s < g.m else range(g.m)
+        total = 0.0
+        for idx in sample:
+            u, v, _ = g.edges[idx]
+            if rng.random() < 0.5:
+                u, v = v, u
+            total += em_edge_responsibility(g, u, v, rho)
+        new_rho = total / s
+        delta = abs(new_rho - rho)
+        trace.append({"iteration": it, "rho": new_rho, "delta": delta})
+        rho = new_rho
+        if delta < cfg.em_tol:
+            break
+    return min(max(rho, RHO_EPS), 1.0 - RHO_EPS), trace
+
+
+def shuffled(g, seed):
+    """The same graph with its edges in another order, so that adjacency
+    order no longer follows vertex ids."""
+    triples = list(g.edges)
+    random.Random(seed).shuffle(triples)
+    return build_graph(triples, n=g.n)
+
+
+EM_GRAPHS = {
+    "power-law": lambda: power_law_signed_graph(120, 500, seed=4, gamma=2.1),
+    "dense": lambda: shuffled(random_signed_graph(30, 0.4, seed=8), seed=1),
+    "star": lambda: build_graph([(0, i, Sign.POSITIVE) for i in range(1, 12)]),
+    "bipartite": lambda: shuffled(
+        build_graph([(u, v, Sign.NEGATIVE) for u in range(5) for v in range(5, 11)]),
+        seed=2,
+    ),
+    "k3": lambda: build_graph(
+        [(0, 1, Sign.POSITIVE), (1, 2, Sign.POSITIVE), (0, 2, Sign.NEGATIVE)]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EM_GRAPHS))
+@pytest.mark.parametrize("sample", [None, 3, "M"])
+@pytest.mark.parametrize("seed", [0, 1, 42])
+def test_em_equals_per_edge_oracle_bit_for_bit(name, sample, seed, monkeypatch):
+    g = EM_GRAPHS[name]()
+    size = g.m if sample == "M" else sample
+    # Small blocks exercise row cuts in the listing and slot-aligned term blocks.
+    monkeypatch.setattr(metrics, "WEDGE_BLOCK", 5)
+    monkeypatch.setattr(learn, "TERM_BLOCK", 7)
+    for cfg in (
+        LearnConfig(seed=seed, em_sample_size=size),
+        LearnConfig(seed=seed, em_sample_size=size, em_tol=0.0, em_max_iters=12),
+    ):
+        assert em_learn_rho(g, cfg) == em_learn_rho_oracle(g, cfg)
+
+
+def test_wedge_likelihoods_equal_scalar_walk():
+    g = power_law_signed_graph(150, 700, seed=9, gamma=2.1)
+    wedge = learn.wedge_likelihoods(metrics.EdgeArrays.of(g))
+    for e, (u, v, _) in enumerate(g.edges):
+        for slot, (i, j) in ((2 * e, (u, v)), (2 * e + 1, (v, u))):
+            walk = 0.0
+            for k in g.adj[i]:
+                if k in g.adj[j]:
+                    walk += 1.0 / (g.degree(i) * g.degree(k))
+            assert wedge[slot] == walk
+
+
+def test_learned_parameters_are_python_floats():
+    g = power_law_signed_graph(200, 900, seed=3, eta=0.8)
+    params = learn_parameters(g, LearnConfig(seed=1))
+    for value in (params.rho, params.alpha, params.beta, params.eta, params.delta_b):
+        assert type(value) is float

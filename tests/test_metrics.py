@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from signet import metrics
 from signet.errors import EmptyGraphError, NoTrianglesError
 from signet.graph import Sign, build_graph
 from signet.metrics import (
@@ -51,7 +52,7 @@ def test_census_k4_all_positive():
 @pytest.mark.parametrize("seed", range(6))
 def test_census_matches_brute_force(seed):
     g = random_signed_graph(60, 0.2, seed=seed)
-    assert triangle_census(g).as_counts() == brute_force_census(g)
+    assert_census_matches_oracle(g)
 
 
 @given(st.integers(0, 10_000))
@@ -138,3 +139,65 @@ def test_distribution_empty():
     assert TriangleCensus().distribution() == {
         "+++": 0.0, "++-": 0.0, "+--": 0.0, "---": 0.0,
     }
+
+
+def brute_force_per_vertex(g) -> list[int]:
+    """Triangles through each vertex, by checking every vertex triple."""
+    through = [0] * g.n
+    for a, b, c in itertools.combinations(range(g.n), 3):
+        if g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c):
+            for x in (a, b, c):
+                through[x] += 1
+    return through
+
+
+@st.composite
+def signed_graphs(draw):
+    """Any signed graph on up to 9 vertices, edges in arbitrary order; the
+    vertex count may exceed the largest endpoint (isolated vertices)."""
+    n = draw(st.integers(0, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    signs = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+    triples = [
+        (u, v, Sign.POSITIVE if pos else Sign.NEGATIVE)
+        for (u, v), pos in zip(chosen, signs)
+    ]
+    return build_graph(triples, n=n + draw(st.integers(0, 2)))
+
+
+def assert_census_matches_oracle(g):
+    per_vertex = [0] * g.n
+    census = triangle_census(g, per_vertex=per_vertex)
+    assert census.as_counts() == brute_force_census(g)
+    assert per_vertex == brute_force_per_vertex(g)
+
+
+@given(signed_graphs(), st.integers(1, 7))
+@settings(max_examples=150, deadline=None)
+def test_census_and_per_vertex_match_oracle_any_block(g, block):
+    # Tiny wedge blocks cut the forward listing inside every row.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "WEDGE_BLOCK", block)
+        assert_census_matches_oracle(g)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+@pytest.mark.parametrize(
+    "g",
+    [
+        build_graph([], n=0),
+        build_graph([], n=5),
+        build_graph([(0, i, Sign.NEGATIVE) for i in range(1, 9)]),
+        build_graph([
+            (u, v, Sign.NEGATIVE if (u + v) % 3 == 0 else Sign.POSITIVE)
+            for u, v in itertools.combinations(range(7), 2)
+        ]),
+        build_graph([(1, 2, Sign.POSITIVE), (2, 4, Sign.NEGATIVE),
+                     (1, 4, Sign.NEGATIVE)], n=7),
+    ],
+    ids=["no-vertices", "empty", "star", "complete", "isolated-vertices"],
+)
+def test_census_degenerate_shapes_match_oracle(g, block, monkeypatch):
+    monkeypatch.setattr(metrics, "WEDGE_BLOCK", block)
+    assert_census_matches_oracle(g)
