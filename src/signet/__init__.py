@@ -3,7 +3,7 @@
 from .baseline import analytic_triangle_distribution, stcl_generate
 from .evaluate import evaluate
 from .generate import generate
-from .graph import Sign, SignedGraph, build_graph, build_sampling_vector, two_hop_walk
+from .graph import Sign, SignedGraph, build_graph, build_sampling_vector
 from .io import ingest_ratings, read_canonical, read_graph, write_canonical
 from .learn import LearnConfig, ModelParams, learn_parameters
 from .metrics import (
@@ -21,7 +21,6 @@ __all__ = [
     "SignedGraph",
     "build_graph",
     "build_sampling_vector",
-    "two_hop_walk",
     "ingest_ratings",
     "read_canonical",
     "read_graph",

@@ -5,6 +5,13 @@ splits it by the target sign fraction, then replaces every edge through M
 insert/evict rounds that mix two-hop wedge closures (balance-driven signs)
 with random insertions (sign-corrected by alpha). Collisions park their
 vertices on a FIFO queue that is drained before new sampling-vector draws.
+
+Besides the sign map ``adj[u]``, the state keeps each vertex's neighbours in
+a plain list ``nbrs[u]`` in the same order, so a two-hop walk indexes a row
+in O(1) instead of copying the map's keys. The rows stay in ``adj``'s order
+because eviction is global FIFO: the edge it removes is the oldest live
+edge, hence also the oldest entry in both endpoints' rows, and new edges
+are appended at the end of both.
 """
 
 from __future__ import annotations
@@ -39,14 +46,16 @@ class GenerationState:
     eta: float
     rng: random.Random
     sign_policy: str = SIGN_POLICY_BALANCE
-    live: "OrderedDict[tuple[int, int], Sign]" = field(default_factory=OrderedDict)
-    adj: list[dict[int, Sign]] = field(default_factory=list)
-    pending: deque = field(default_factory=deque)
-    steps_done: int = 0
+    live: "OrderedDict[tuple[int, int], Sign]" = field(init=False, default_factory=OrderedDict)
+    adj: list[dict[int, Sign]] = field(init=False)
+    # nbrs[u] lists adj[u]'s keys in adj[u]'s order (see the module docstring).
+    nbrs: list[list[int]] = field(init=False)
+    pending: deque = field(init=False, default_factory=deque)
+    steps_done: int = field(init=False, default=0)
 
     def __post_init__(self):
-        if not self.adj:
-            self.adj = [dict() for _ in range(self.n)]
+        self.adj = [dict() for _ in range(self.n)]
+        self.nbrs = [[] for _ in range(self.n)]
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
@@ -56,18 +65,22 @@ class GenerationState:
         self.live[key] = sign
         self.adj[u][v] = sign
         self.adj[v][u] = sign
+        self.nbrs[u].append(v)
+        self.nbrs[v].append(u)
 
     def evict_oldest(self) -> tuple[int, int]:
         (u, v), _ = self.live.popitem(last=False)
         del self.adj[u][v]
         del self.adj[v][u]
+        del self.nbrs[u][0]
+        del self.nbrs[v][0]
         return u, v
 
     def next_vertex(self) -> tuple[int, bool]:
         """Returns (vertex, from_queue). The queue drains before pi draws."""
         if self.pending:
             return self.pending.popleft(), True
-        return self.pi[self.rng.randrange(len(self.pi))], False
+        return self.rng.choice(self.pi), False
 
     def park(self, v: int, from_queue: bool) -> None:
         # A vertex gets one deferred retry; re-enqueueing queue-sourced
@@ -98,13 +111,12 @@ def fcl_initialize(
         eta=eta, rng=rng, sign_policy=sign_policy,
     )
     budget = 100 * m
-    size = len(pi)
     while len(state.live) < m:
         if budget <= 0:
             raise StallError(f"FCL could not place {m} distinct edges")
         budget -= 1
-        u = pi[rng.randrange(size)]
-        v = pi[rng.randrange(size)]
+        u = rng.choice(pi)
+        v = rng.choice(pi)
         if u == v or state.has_edge(u, v):
             continue
         state.insert(u, v, Sign.NEGATIVE)
@@ -127,15 +139,11 @@ def choose_wedge_sign(
     fall back to a positive draw with probability alpha.
     """
     adj_i, adj_j = state.adj[v_i], state.adj[v_j]
-    small, large = (adj_i, adj_j) if len(adj_i) <= len(adj_j) else (adj_j, adj_i)
-    b_plus = 0
-    total = 0
-    for c, s1 in small.items():
-        s2 = large.get(c)
-        if s2 is not None:
-            total += 1
-            if int(s1) * int(s2) > 0:
-                b_plus += 1
+    # The intersection walks the smaller row; the count does not depend on
+    # its order. A wedge is balanced iff its two signs are equal.
+    common = adj_i.keys() & adj_j.keys()
+    total = len(common)
+    b_plus = sum(1 for c in common if adj_i[c] == adj_j[c])
     if total == 0:
         raise NoCommonNeighborError(f"vertices {v_i}, {v_j} share no neighbor")
     b_minus = total - b_plus
@@ -148,13 +156,15 @@ def choose_wedge_sign(
 
 
 def _walk(state: GenerationState, v_i: int) -> Optional[tuple[int, int]]:
-    nbrs = state.adj[v_i]
-    if not nbrs:
+    """Uniform two-hop walk from v_i: neighbour v_k, then neighbour v_j of
+    v_k. Returns (v_k, v_j), or None when v_i has no neighbours. Landing
+    back on v_i is possible; the caller treats that as a collision.
+    """
+    row = state.nbrs[v_i]
+    if not row:
         return None
-    keys = list(nbrs.keys())
-    v_k = keys[state.rng.randrange(len(keys))]
-    keys_k = list(state.adj[v_k].keys())
-    return v_k, keys_k[state.rng.randrange(len(keys_k))]
+    v_k = state.rng.choice(row)
+    return v_k, state.rng.choice(state.nbrs[v_k])
 
 
 def _iid_sign(state: GenerationState) -> Sign:
@@ -221,8 +231,11 @@ def generation_step(state: GenerationState) -> None:
 def _run(state: GenerationState) -> SignedGraph:
     for _ in range(state.target_m):
         generation_step(state)
-    triples = [(u, v, s) for (u, v), s in state.live.items()]
-    return build_graph(triples, n=state.n)
+    # The output build is the run's memory peak: release the rows first.
+    state.adj = state.nbrs = None
+    return build_graph(
+        ((u, v, s) for (u, v), s in state.live.items()), n=state.n
+    )
 
 
 def generate(

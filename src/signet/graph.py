@@ -8,7 +8,6 @@ neighbor iteration with deterministic order (insertion order of edges).
 from __future__ import annotations
 
 import enum
-import random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -125,30 +124,3 @@ def build_sampling_vector(g: SignedGraph) -> list[int]:
         pi.append(v)
     return pi
 
-
-def sampling_vector_from_degrees(degrees: Sequence[int]) -> list[int]:
-    """Sampling vector built directly from a degree sequence."""
-    if sum(degrees) == 0:
-        raise EmptyGraphError("all degrees are zero")
-    pi: list[int] = []
-    for v, d in enumerate(degrees):
-        pi.extend([v] * d)
-    return pi
-
-
-def two_hop_walk(
-    g: SignedGraph, v_i: int, rng: random.Random
-) -> Optional[tuple[int, int]]:
-    """Uniform two-hop walk from v_i: neighbor v_k, then neighbor v_j of v_k.
-
-    Returns (v_k, v_j), or None when v_i has no neighbors. Landing back on
-    v_i is possible; the caller treats that as a collision.
-    """
-    nbrs_i = g.adj[v_i]
-    if not nbrs_i:
-        return None
-    keys_i = list(nbrs_i.keys())
-    v_k = keys_i[rng.randrange(len(keys_i))]
-    keys_k = list(g.adj[v_k].keys())
-    v_j = keys_k[rng.randrange(len(keys_k))]
-    return v_k, v_j

@@ -1,13 +1,19 @@
+import importlib
+import itertools
 import math
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from signet.errors import NoCommonNeighborError, StallError
+from signet.errors import NoCommonNeighborError, SignetError, StallError
 from signet.generate import (
+    SIGN_POLICY_BALANCE,
     SIGN_POLICY_IID,
     GenerationState,
+    _walk,
     choose_wedge_sign,
     fcl_initialize,
     generate,
@@ -17,6 +23,9 @@ from signet.graph import Sign, build_graph, build_sampling_vector
 from signet.learn import ModelParams
 from signet.metrics import compute_eta
 from tests.conftest import power_law_signed_graph
+
+# signet/__init__.py rebinds ``signet.generate`` to the function.
+G = importlib.import_module("signet.generate")
 
 
 def make_params(rho=0.3, alpha=0.8, beta=0.9, eta=0.85):
@@ -32,6 +41,8 @@ def audit(state):
         assert state.adj[v][u] is s
     edge_count = sum(len(a) for a in state.adj) // 2
     assert edge_count == len(state.live)
+    for u in range(state.n):
+        assert state.nbrs[u] == list(state.adj[u])
 
 
 def test_fcl_forced_k3():
@@ -97,6 +108,55 @@ def wedge_state(edges, n, rho=0.0, alpha=0.5, beta=1.0):
     for u, v, s in edges:
         state.insert(u, v, s)
     return state
+
+
+def test_walk_forced_path():
+    # Path 0-1-2: every walk from 0 passes through 1.
+    state = wedge_state([(0, 1, Sign.POSITIVE), (1, 2, Sign.POSITIVE)], 3)
+    seen = set()
+    for _ in range(200):
+        v_k, v_j = _walk(state, 0)
+        assert v_k == 1
+        assert v_j in (0, 2)
+        seen.add(v_j)
+    assert seen == {0, 2}
+
+
+def test_walk_isolated_vertex():
+    state = wedge_state([(0, 1, Sign.POSITIVE)], 3)
+    assert _walk(state, 2) is None
+
+
+def exact_two_hop_distribution(state, v_i):
+    """Enumerated landing kernel sum_{k in N_i, j in N_k} 1/(d_i d_k)."""
+    dist = Counter()
+    d_i = len(state.adj[v_i])
+    for v_k in state.adj[v_i]:
+        d_k = len(state.adj[v_k])
+        for v_j in state.adj[v_k]:
+            dist[v_j] += 1.0 / (d_i * d_k)
+    return dist
+
+
+def test_walk_matches_enumerated_kernel():
+    # Wheel graph: hub 0 connected to a 6-cycle on 1..6.
+    triples = [(0, i, Sign.POSITIVE) for i in range(1, 7)]
+    cycle = [1, 2, 3, 4, 5, 6, 1]
+    triples += [
+        (cycle[i], cycle[i + 1], Sign.NEGATIVE) for i in range(6)
+    ]
+    state = wedge_state(triples, 7)
+    state.rng = random.Random(11)
+    start = 1
+    expected = exact_two_hop_distribution(state, start)
+    trials = 100_000
+    observed = Counter()
+    for _ in range(trials):
+        _, v_j = _walk(state, start)
+        observed[v_j] += 1
+    for v, p in expected.items():
+        sigma = math.sqrt(p * (1 - p) / trials)
+        assert abs(observed[v] / trials - p) <= 3.5 * sigma + 1e-9
 
 
 def test_choose_wedge_sign_single_balanced_wedge():
@@ -265,3 +325,123 @@ def test_generate_iid_policy_sign_rate():
     out = generate(g, params, seed=5, sign_policy=SIGN_POLICY_IID)
     frac = out.m_positive / out.m
     assert abs(frac - eta) < 4 * math.sqrt(eta * (1 - eta) / out.m)
+
+
+def walk_oracle(state, v_i):
+    """The list-copy walk that _walk replaces: the same draws, indexing a
+    fresh copy of adj's keys."""
+    nbrs = state.adj[v_i]
+    if not nbrs:
+        return None
+    keys = list(nbrs.keys())
+    v_k = keys[state.rng.randrange(len(keys))]
+    keys_k = list(state.adj[v_k].keys())
+    return v_k, keys_k[state.rng.randrange(len(keys_k))]
+
+
+def wedge_sign_oracle(state, v_i, v_j, balanced_branch, alpha):
+    """The per-neighbour balance loop that choose_wedge_sign replaces."""
+    adj_i, adj_j = state.adj[v_i], state.adj[v_j]
+    small, large = (adj_i, adj_j) if len(adj_i) <= len(adj_j) else (adj_j, adj_i)
+    b_plus = 0
+    total = 0
+    for c, s1 in small.items():
+        s2 = large.get(c)
+        if s2 is not None:
+            total += 1
+            if int(s1) * int(s2) > 0:
+                b_plus += 1
+    if total == 0:
+        raise NoCommonNeighborError(f"vertices {v_i}, {v_j} share no neighbor")
+    b_minus = total - b_plus
+    if b_plus == b_minus:
+        return Sign.POSITIVE if state.rng.random() < alpha else Sign.NEGATIVE
+    majority_positive = b_plus > b_minus
+    if not balanced_branch:
+        majority_positive = not majority_positive
+    return Sign.POSITIVE if majority_positive else Sign.NEGATIVE
+
+
+ORACLE_GRAPHS = {
+    "power-law": lambda: power_law_signed_graph(300, 1200, seed=11),
+    "hub-heavy": lambda: power_law_signed_graph(400, 1600, seed=12, gamma=2.1),
+    "star": lambda: build_graph([(0, i, Sign.POSITIVE) for i in range(1, 12)]),
+    # Complete: no legal insertion exists, so every seed runs out of retries.
+    "k3": lambda: build_graph(
+        [(0, 1, Sign.POSITIVE), (1, 2, Sign.POSITIVE), (0, 2, Sign.NEGATIVE)]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+@pytest.mark.parametrize("policy", [SIGN_POLICY_BALANCE, SIGN_POLICY_IID])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_generate_equals_list_copy_oracles(name, policy, seed, monkeypatch):
+    g = ORACLE_GRAPHS[name]()
+    params = make_params(rho=0.6)
+
+    def outcome():
+        try:
+            return generate(g, params, seed=seed, sign_policy=policy).edges
+        except SignetError as exc:
+            return repr(exc)
+
+    rows = outcome()
+    monkeypatch.setattr(G, "_walk", walk_oracle)
+    monkeypatch.setattr(G, "choose_wedge_sign", wedge_sign_oracle)
+    assert rows == outcome()
+    assert isinstance(rows, str) == (name == "k3")
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_choose_wedge_sign_equals_balance_loop(data):
+    n = data.draw(st.integers(3, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1))
+    signs = data.draw(st.lists(
+        st.sampled_from([Sign.POSITIVE, Sign.NEGATIVE]),
+        min_size=len(chosen), max_size=len(chosen),
+    ))
+    state = wedge_state([(u, v, s) for (u, v), s in zip(chosen, signs)], n)
+    v_i, v_j = data.draw(st.sampled_from(list(itertools.permutations(range(n), 2))))
+    balanced = data.draw(st.booleans())
+    alpha = data.draw(st.floats(0.0, 1.0))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+
+    def sign_and_rng(choose):
+        state.rng = random.Random(seed)
+        try:
+            sign = choose(state, v_i, v_j, balanced, alpha)
+        except NoCommonNeighborError:
+            sign = None
+        return sign, state.rng.getstate()
+
+    assert sign_and_rng(choose_wedge_sign) == sign_and_rng(wedge_sign_oracle)
+
+
+def test_choice_draws_as_randrange_index():
+    # next_vertex, fcl_initialize and _walk draw with rng.choice; every
+    # seed's output stays that of the randrange-indexed draws only while
+    # the two consume the generator identically.
+    a, b = random.Random(3), random.Random(3)
+    for size in (1, 2, 3, 7, 8, 9, 1000, 2**20 + 1):
+        seq = range(size)
+        for _ in range(50):
+            assert a.choice(seq) == seq[b.randrange(size)]
+
+
+def test_rows_released_before_output_build(monkeypatch):
+    g = power_law_signed_graph(100, 300, seed=13)
+    state = fcl_initialize(
+        build_sampling_vector(g), g.m, eta=0.8, rng=random.Random(5), n=g.n,
+        rho=0.5, alpha=0.8, beta=0.9,
+    )
+    build = G.build_graph
+
+    def build_after_release(triples, n):
+        assert state.adj is None and state.nbrs is None
+        return build(triples, n=n)
+
+    monkeypatch.setattr(G, "build_graph", build_after_release)
+    assert G._run(state).m == g.m

@@ -7,12 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signet.errors import DuplicateEdgeError, EmptyGraphError, SelfLoopError
-from signet.graph import (
-    Sign,
-    build_graph,
-    build_sampling_vector,
-    two_hop_walk,
-)
+from signet.graph import Sign, build_graph, build_sampling_vector
 
 
 def test_sign_product_rule():
@@ -112,51 +107,3 @@ def test_uniform_endpoint_draw_frequencies():
         p = g.degree(v) / (2 * g.m)
         tol = 4 * math.sqrt(p * (1 - p) / trials)
         assert abs(counts.get(v, 0) / trials - p) <= tol
-
-
-def test_two_hop_walk_forced_path(path3):
-    rng = random.Random(0)
-    seen = set()
-    for _ in range(200):
-        v_k, v_j = two_hop_walk(path3, 0, rng)
-        assert v_k == 1
-        assert v_j in (0, 2)
-        seen.add(v_j)
-    assert seen == {0, 2}
-
-
-def test_two_hop_walk_isolated_vertex():
-    g = build_graph([(0, 1, Sign.POSITIVE)], n=3)
-    assert two_hop_walk(g, 2, random.Random(0)) is None
-
-
-def exact_two_hop_distribution(g, v_i):
-    """Enumerated landing kernel sum_{k in N_i, j in N_k} 1/(d_i d_k)."""
-    dist = Counter()
-    d_i = g.degree(v_i)
-    for v_k in g.neighbors(v_i):
-        d_k = g.degree(v_k)
-        for v_j in g.neighbors(v_k):
-            dist[v_j] += 1.0 / (d_i * d_k)
-    return dist
-
-
-def test_two_hop_walk_matches_enumerated_kernel():
-    # Wheel graph: hub 0 connected to a 6-cycle on 1..6.
-    triples = [(0, i, Sign.POSITIVE) for i in range(1, 7)]
-    cycle = [1, 2, 3, 4, 5, 6, 1]
-    triples += [
-        (cycle[i], cycle[i + 1], Sign.NEGATIVE) for i in range(6)
-    ]
-    g = build_graph(triples)
-    start = 1
-    expected = exact_two_hop_distribution(g, start)
-    rng = random.Random(11)
-    trials = 100_000
-    observed = Counter()
-    for _ in range(trials):
-        _, v_j = two_hop_walk(g, start, rng)
-        observed[v_j] += 1
-    for v, p in expected.items():
-        sigma = math.sqrt(p * (1 - p) / trials)
-        assert abs(observed[v] / trials - p) <= 3.5 * sigma + 1e-9
