@@ -53,7 +53,8 @@ class RhoAtOneError(SignetError):
 
 
 class StallError(SignetError):
-    """FCL initialization could not place enough distinct edges."""
+    """The generator has no room for its edges: FCL could not place enough
+    distinct edges, or the input leaves no pair to insert."""
 
 
 class RetryExhaustedError(SignetError):

@@ -1,8 +1,8 @@
 """Expected-triangle estimates for random insertion and wedge closure.
 
 The fast paths run in O(N) using a suffix-sum dynamic program over the
-degree vector; the exact paths evaluate the pre-approximation double/triple
-sums literally and exist as permanent test oracles.
+degree vector. The literal pre-approximation sums they approximate are kept
+in the tests as oracles.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateDegreesError
-from .graph import SignedGraph
 
 COMPENSATED_SUM_THRESHOLD = 100_000
 
@@ -26,8 +25,6 @@ class TriangleEstimates:
     delta_random: float
     delta_random_balanced: float
     delta_triangle: float
-    avg_d: float
-    avg_d2: float
 
 
 def suffix_degree_sums(degrees: Sequence[int]) -> np.ndarray:
@@ -70,37 +67,6 @@ def delta_random_fast(degrees: Sequence[int], m: int) -> float:
     return float((avg_d2 - avg_d) / (avg_d * m * n * (n - 1)) * total)
 
 
-def delta_random_nested(degrees: Sequence[int], m: int) -> float:
-    """Suffix-free nested double sum; must match delta_random_fast exactly."""
-    d = _check_degrees(degrees)
-    n = len(d)
-    avg_d = d.mean()
-    avg_d2 = float((d * d).mean())
-    total = 0.0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            total += d[i] * d[j]
-    return (avg_d2 - avg_d) / (avg_d * m * n * (n - 1)) * total
-
-
-def delta_random_exact(degrees: Sequence[int], m: int) -> float:
-    """Literal pre-approximation form, averaged over unordered pairs.
-
-    Delta_ij = (d_i d_j / 2M) * sum_{l not in {i,j}} d_l (d_l - 1) / 2M,
-    evaluated with the excluded terms kept. Test oracle only.
-    """
-    d = np.asarray(degrees, dtype=np.float64)
-    n = len(d)
-    two_m = 2.0 * m
-    full = float(np.sum(d * (d - 1.0)))
-    total = 0.0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            inner = (full - d[i] * (d[i] - 1.0) - d[j] * (d[j] - 1.0)) / two_m
-            total += (d[i] * d[j] / two_m) * inner
-    return total / (n * (n - 1) / 2.0)
-
-
 def delta_random_balanced(delta_random: float, eta: float, alpha: float) -> float:
     """Expected balanced triangles per random insertion.
 
@@ -133,31 +99,3 @@ def delta_triangle_fast(degrees: Sequence[int], m: int) -> float:
     idx = np.arange(1, n + 1, dtype=np.float64)
     extra = _weighted_suffix_dot(d - 1.0, s - n + idx)
     return float(1.0 + (avg_d2 - avg_d) / (avg_d * m * n * (n - 1)) * extra)
-
-
-def delta_triangle_exact(degrees: Sequence[int], m: int) -> float:
-    """Literal pre-approximation wedge-closure form. Test oracle only."""
-    d = np.asarray(degrees, dtype=np.float64)
-    n = len(d)
-    two_m = 2.0 * m
-    full = float(np.sum(d * (d - 1.0)))
-    total = 0.0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            inner = (full - d[i] * (d[i] - 1.0) - d[j] * (d[j] - 1.0)) / two_m
-            total += ((d[i] - 1.0) * (d[j] - 1.0) / two_m) * inner
-    return 1.0 + total / (n * (n - 1) / 2.0)
-
-
-def estimate_all(g: SignedGraph, eta: float, alpha: float) -> TriangleEstimates:
-    """Bundle the fast estimates for a graph at the given (eta, alpha)."""
-    d = g.degrees()
-    arr = np.asarray(d, dtype=np.float64)
-    dr = delta_random_fast(d, g.m)
-    return TriangleEstimates(
-        delta_random=dr,
-        delta_random_balanced=delta_random_balanced(dr, eta, alpha),
-        delta_triangle=delta_triangle_fast(d, g.m),
-        avg_d=float(arr.mean()),
-        avg_d2=float((arr * arr).mean()),
-    )

@@ -6,23 +6,33 @@ insert/evict rounds that mix two-hop wedge closures (balance-driven signs)
 with random insertions (sign-corrected by alpha). Collisions park their
 vertices on a FIFO queue that is drained before new sampling-vector draws.
 
+The state holds plain ints only: a sign is +1 or -1 and becomes a ``Sign``
+in the output build. The M live edges sit in a fixed ring of slots, edge
+(``eu[i]``, ``ev[i]``) with sign ``es[i]``, and ``head`` is the slot of the
+oldest one. A round overwrites that slot with the new edge: an insertion
+and a FIFO eviction in one write, since the new edge is never live, hence
+never the one evicted. Reading the ring from ``head`` on lists the live
+edges oldest first.
+
 Besides the sign map ``adj[u]``, the state keeps each vertex's neighbours in
 a plain list ``nbrs[u]`` in the same order, so a two-hop walk indexes a row
 in O(1) instead of copying the map's keys. The rows stay in ``adj``'s order
 because eviction is global FIFO: the edge it removes is the oldest live
 edge, hence also the oldest entry in both endpoints' rows, and new edges
-are appended at the end of both.
+are appended at the end of both. FCL never walks, so it fills only ``adj``
+and the ring, and builds the rows once at its end.
 """
 
 from __future__ import annotations
 
 import random
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from itertools import chain, islice
+from typing import Iterator, Optional
 
 from .errors import NoCommonNeighborError, RetryExhaustedError, StallError
-from .graph import Sign, SignedGraph, build_graph, build_sampling_vector
+from .graph import SignedGraph, build_graph, build_sampling_vector
 from .learn import ModelParams
 
 STEP_RETRY_BUDGET = 100
@@ -46,35 +56,45 @@ class GenerationState:
     eta: float
     rng: random.Random
     sign_policy: str = SIGN_POLICY_BALANCE
-    live: "OrderedDict[tuple[int, int], Sign]" = field(init=False, default_factory=OrderedDict)
-    adj: list[dict[int, Sign]] = field(init=False)
-    # nbrs[u] lists adj[u]'s keys in adj[u]'s order (see the module docstring).
-    nbrs: list[list[int]] = field(init=False)
+    # The ring of live edges (see the module docstring).
+    eu: list[int] = field(init=False, default_factory=list)
+    ev: list[int] = field(init=False, default_factory=list)
+    es: list[int] = field(init=False, default_factory=list)
+    head: int = field(init=False, default=0)
+    adj: list[dict[int, int]] = field(init=False)
+    # nbrs[u] lists adj[u]'s keys in adj[u]'s order; fcl_initialize builds it.
+    nbrs: list[list[int]] = field(init=False, default_factory=list)
     pending: deque = field(init=False, default_factory=deque)
     steps_done: int = field(init=False, default=0)
 
     def __post_init__(self):
         self.adj = [dict() for _ in range(self.n)]
-        self.nbrs = [[] for _ in range(self.n)]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
+    def replace_oldest(self, u: int, v: int, sign: int) -> None:
+        """Insert (u, v) with ``sign`` and evict the oldest live edge."""
+        adj, nbrs, h = self.adj, self.nbrs, self.head
+        old_u, old_v = self.eu[h], self.ev[h]
+        del adj[old_u][old_v]
+        del adj[old_v][old_u]
+        del nbrs[old_u][0]
+        del nbrs[old_v][0]
+        self.eu[h] = u
+        self.ev[h] = v
+        self.es[h] = sign
+        adj[u][v] = sign
+        adj[v][u] = sign
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+        h += 1
+        self.head = 0 if h == len(self.eu) else h
 
-    def insert(self, u: int, v: int, sign: Sign) -> None:
-        key = (u, v) if u < v else (v, u)
-        self.live[key] = sign
-        self.adj[u][v] = sign
-        self.adj[v][u] = sign
-        self.nbrs[u].append(v)
-        self.nbrs[v].append(u)
-
-    def evict_oldest(self) -> tuple[int, int]:
-        (u, v), _ = self.live.popitem(last=False)
-        del self.adj[u][v]
-        del self.adj[v][u]
-        del self.nbrs[u][0]
-        del self.nbrs[v][0]
-        return u, v
+    def live_edges(self) -> Iterator[tuple[int, int, int]]:
+        """The live edges as (u, v, sign), oldest first."""
+        h = self.head
+        return chain(
+            islice(zip(self.eu, self.ev, self.es), h, None),
+            islice(zip(self.eu, self.ev, self.es), h),
+        )
 
     def next_vertex(self) -> tuple[int, bool]:
         """Returns (vertex, from_queue). The queue drains before pi draws."""
@@ -110,33 +130,34 @@ def fcl_initialize(
         n=count, pi=pi, target_m=m, rho=rho, alpha=alpha, beta=beta,
         eta=eta, rng=rng, sign_policy=sign_policy,
     )
+    adj, eu, ev = state.adj, state.eu, state.ev
     budget = 100 * m
-    while len(state.live) < m:
+    while len(eu) < m:
         if budget <= 0:
             raise StallError(f"FCL could not place {m} distinct edges")
         budget -= 1
         u = rng.choice(pi)
         v = rng.choice(pi)
-        if u == v or state.has_edge(u, v):
+        if u == v or v in adj[u]:
             continue
-        state.insert(u, v, Sign.NEGATIVE)
-    n_pos = round(eta * m)
-    keys = list(state.live.keys())
-    for idx in rng.sample(range(m), n_pos):
-        u, v = keys[idx]
-        state.live[(u, v)] = Sign.POSITIVE
-        state.adj[u][v] = Sign.POSITIVE
-        state.adj[v][u] = Sign.POSITIVE
+        adj[u][v] = adj[v][u] = -1
+        eu.append(u)
+        ev.append(v)
+    es = state.es = [-1] * m
+    for idx in rng.sample(range(m), round(eta * m)):
+        u, v = eu[idx], ev[idx]
+        es[idx] = adj[u][v] = adj[v][u] = 1
+    state.nbrs = [list(a) for a in adj]
     return state
 
 
 def choose_wedge_sign(
     state: GenerationState, v_i: int, v_j: int, balanced_branch: bool, alpha: float
-) -> Sign:
-    """Sign for a wedge-closure edge by balance majority over all common
-    neighbors. The balanced branch picks the sign that makes more of the
-    created triangles balanced; the other branch picks the opposite. Ties
-    fall back to a positive draw with probability alpha.
+) -> int:
+    """Sign (+1 or -1) for a wedge-closure edge by balance majority over all
+    common neighbors. The balanced branch picks the sign that makes more of
+    the created triangles balanced; the other branch picks the opposite.
+    Ties fall back to a positive draw with probability alpha.
     """
     adj_i, adj_j = state.adj[v_i], state.adj[v_j]
     # The intersection walks the smaller row; the count does not depend on
@@ -148,11 +169,11 @@ def choose_wedge_sign(
         raise NoCommonNeighborError(f"vertices {v_i}, {v_j} share no neighbor")
     b_minus = total - b_plus
     if b_plus == b_minus:
-        return Sign.POSITIVE if state.rng.random() < alpha else Sign.NEGATIVE
+        return 1 if state.rng.random() < alpha else -1
     majority_positive = b_plus > b_minus
     if not balanced_branch:
         majority_positive = not majority_positive
-    return Sign.POSITIVE if majority_positive else Sign.NEGATIVE
+    return 1 if majority_positive else -1
 
 
 def _walk(state: GenerationState, v_i: int) -> Optional[tuple[int, int]]:
@@ -167,15 +188,16 @@ def _walk(state: GenerationState, v_i: int) -> Optional[tuple[int, int]]:
     return v_k, state.rng.choice(state.nbrs[v_k])
 
 
-def _iid_sign(state: GenerationState) -> Sign:
-    return Sign.POSITIVE if state.rng.random() < state.eta else Sign.NEGATIVE
+def _iid_sign(state: GenerationState) -> int:
+    return 1 if state.rng.random() < state.eta else -1
 
 
 def generation_step(state: GenerationState) -> None:
     """One insert/evict round; eviction happens only after a successful
     insertion so the live edge count stays exactly M.
     """
-    wedge_branch = state.rng.random() < state.rho
+    rng, adj = state.rng, state.adj
+    wedge_branch = rng.random() < state.rho
     walk_failures = 0
     for _ in range(STEP_RETRY_BUDGET):
         v_i, i_queued = state.next_vertex()
@@ -190,7 +212,7 @@ def generation_step(state: GenerationState) -> None:
             if v_j == v_i:
                 state.park(v_i, i_queued)
                 walk_failures += 1
-            elif state.has_edge(v_i, v_j):
+            elif v_j in adj[v_i]:
                 state.park(v_i, i_queued)
                 state.park(v_j, False)
                 walk_failures += 1
@@ -198,10 +220,9 @@ def generation_step(state: GenerationState) -> None:
                 if state.sign_policy == SIGN_POLICY_IID:
                     sign = _iid_sign(state)
                 else:
-                    balanced = state.rng.random() < state.beta
+                    balanced = rng.random() < state.beta
                     sign = choose_wedge_sign(state, v_i, v_j, balanced, state.alpha)
-                state.insert(v_i, v_j, sign)
-                state.evict_oldest()
+                state.replace_oldest(v_i, v_j, sign)
                 state.steps_done += 1
                 return
             if walk_failures >= WEDGE_WALK_RETRIES:
@@ -211,16 +232,15 @@ def generation_step(state: GenerationState) -> None:
         if v_j == v_i:
             state.park(v_i, i_queued and j_queued)
             continue
-        if state.has_edge(v_i, v_j):
+        if v_j in adj[v_i]:
             state.park(v_i, i_queued)
             state.park(v_j, j_queued)
             continue
         if state.sign_policy == SIGN_POLICY_IID:
             sign = _iid_sign(state)
         else:
-            sign = Sign.POSITIVE if state.rng.random() < state.alpha else Sign.NEGATIVE
-        state.insert(v_i, v_j, sign)
-        state.evict_oldest()
+            sign = 1 if rng.random() < state.alpha else -1
+        state.replace_oldest(v_i, v_j, sign)
         state.steps_done += 1
         return
     raise RetryExhaustedError(
@@ -233,9 +253,20 @@ def _run(state: GenerationState) -> SignedGraph:
         generation_step(state)
     # The output build is the run's memory peak: release the rows first.
     state.adj = state.nbrs = None
-    return build_graph(
-        ((u, v, s) for (u, v), s in state.live.items()), n=state.n
-    )
+    return build_graph(state.live_edges(), n=state.n)
+
+
+def _require_room(g_input: SignedGraph) -> None:
+    """Refuse an input whose non-isolated vertices are pairwise adjacent:
+    every pair the generator can draw is then live, so no step can insert.
+    """
+    k = sum(1 for a in g_input.adj if a)
+    if k * (k - 1) // 2 == g_input.m:
+        raise StallError(
+            f"no room to generate: the input's k={k} non-isolated vertices "
+            f"are pairwise adjacent (M={g_input.m} = k(k-1)/2), so no new "
+            f"edge can be inserted"
+        )
 
 
 def generate(
@@ -249,6 +280,7 @@ def generate(
     """
     rng = random.Random(seed)
     pi = build_sampling_vector(g_input)
+    _require_room(g_input)
     state = fcl_initialize(
         pi, g_input.m, params.eta, rng, n=g_input.n,
         rho=params.rho, alpha=params.alpha, beta=params.beta,

@@ -25,6 +25,11 @@ class Sign(enum.IntEnum):
         return "+" if self is Sign.POSITIVE else "-"
 
 
+# Sign lookup for build_graph; anything it lacks goes through Sign(s), which
+# accepts or rejects exactly as before.
+_SIGN_OF = {1: Sign.POSITIVE, -1: Sign.NEGATIVE}
+
+
 def canonical_pair(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
@@ -93,7 +98,11 @@ def build_graph(
         if pair in seen:
             raise DuplicateEdgeError(*pair)
         seen.add(pair)
-        edges.append((pair[0], pair[1], Sign(s)))
+        try:
+            sign = _SIGN_OF[s]
+        except (KeyError, TypeError):
+            sign = Sign(s)
+        edges.append((pair[0], pair[1], sign))
         max_id = max(max_id, pair[1])
     count = (max_id + 1) if n is None else n
     if count < max_id + 1:

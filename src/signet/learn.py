@@ -30,6 +30,10 @@ from .metrics import EdgeArrays, compute_eta, list_triangles, triangle_census
 log = logging.getLogger(__name__)
 
 RHO_EPS = 1e-6
+# Closed-form values within CLAMP_EPS of [0, 1] are clamped without a
+# warning. Besides float noise, this covers alpha's shift when rho sits on
+# its floor: a triangle-free all-positive input gives alpha = 1/(1 - RHO_EPS).
+CLAMP_EPS = 2 * RHO_EPS
 TERM_BLOCK = 1 << 16  # sorted wedge terms summed per numpy block
 
 
@@ -204,7 +208,7 @@ def update_beta(
         delta_b * (est.delta_triangle + est.delta_random)
         - est.delta_random_balanced
     ) / est.delta_triangle
-    if not 0.0 <= raw <= 1.0:
+    if not -CLAMP_EPS <= raw <= 1.0 + CLAMP_EPS:
         msg = f"beta={raw:.4f} clamped to [0, 1]"
         log.warning(msg)
         if warnings is not None:
@@ -226,7 +230,7 @@ def update_alpha(
     if rho >= 1.0:
         raise RhoAtOneError("alpha update undefined at rho = 1")
     raw = (eta - rho * eta_triangle(eta, beta)) / (1.0 - rho)
-    if not 0.0 <= raw <= 1.0:
+    if not -CLAMP_EPS <= raw <= 1.0 + CLAMP_EPS:
         msg = f"alpha={raw:.4f} clamped to [0, 1]"
         log.warning(msg)
         if warnings is not None:
@@ -264,8 +268,6 @@ def learn_parameters(g: SignedGraph, cfg: Optional[LearnConfig] = None) -> Model
             delta_random=dr,
             delta_random_balanced=drb,
             delta_triangle=dt,
-            avg_d=0.0,
-            avg_d2=0.0,
         )
         new_beta = update_beta(delta_b, est, warnings)
         new_alpha = update_alpha(eta, rho, new_beta, warnings)

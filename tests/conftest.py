@@ -1,6 +1,8 @@
 import itertools
 import random
+from typing import Sequence
 
+import numpy as np
 import pytest
 
 from signet.graph import Sign, SignedGraph, build_graph
@@ -19,6 +21,55 @@ def brute_force_census(g: SignedGraph) -> dict[str, int]:
             )
             counts[keys[pos]] += 1
     return counts
+
+
+# O(N^2) literal forms of the estimators' sums, the oracles of their O(N)
+# fast paths in signet.estimators.
+
+
+def delta_random_nested(degrees: Sequence[int], m: int) -> float:
+    """Suffix-free nested double sum; must match delta_random_fast exactly."""
+    d = np.asarray(degrees, dtype=np.float64)
+    n = len(d)
+    avg_d = d.mean()
+    avg_d2 = float((d * d).mean())
+    total = 0.0
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            total += d[i] * d[j]
+    return (avg_d2 - avg_d) / (avg_d * m * n * (n - 1)) * total
+
+
+def delta_random_exact(degrees: Sequence[int], m: int) -> float:
+    """Literal pre-approximation form, averaged over unordered pairs.
+
+    Delta_ij = (d_i d_j / 2M) * sum_{l not in {i,j}} d_l (d_l - 1) / 2M,
+    evaluated with the excluded terms kept.
+    """
+    d = np.asarray(degrees, dtype=np.float64)
+    n = len(d)
+    two_m = 2.0 * m
+    full = float(np.sum(d * (d - 1.0)))
+    total = 0.0
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            inner = (full - d[i] * (d[i] - 1.0) - d[j] * (d[j] - 1.0)) / two_m
+            total += (d[i] * d[j] / two_m) * inner
+    return total / (n * (n - 1) / 2.0)
+
+
+def delta_triangle_exact(degrees: Sequence[int], m: int) -> float:
+    """Literal pre-approximation wedge-closure form."""
+    d = np.asarray(degrees, dtype=np.float64)
+    n = len(d)
+    two_m = 2.0 * m
+    full = float(np.sum(d * (d - 1.0)))
+    total = 0.0
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            inner = (full - d[i] * (d[i] - 1.0) - d[j] * (d[j] - 1.0)) / two_m
+            total += ((d[i] - 1.0) * (d[j] - 1.0) / two_m) * inner
+    return 1.0 + total / (n * (n - 1) / 2.0)
 
 
 def random_signed_graph(n: int, p: float, seed: int, eta: float = 0.5) -> SignedGraph:

@@ -18,11 +18,7 @@ from click.testing import CliRunner
 
 from signet.baseline import analytic_triangle_distribution, stcl_generate
 from signet.cli import main as cli_main
-from signet.estimators import (
-    delta_random_exact,
-    delta_random_fast,
-    delta_random_nested,
-)
+from signet.estimators import delta_random_fast
 from signet.evaluate import evaluate, ks_statistic, triangle_l1
 from signet.generate import generate
 from signet.io import read_graph, resolve_dataset, write_canonical
@@ -30,6 +26,8 @@ from signet.learn import LearnConfig, ModelParams, learn_parameters
 from signet.metrics import stats_report, triangle_census
 from tests.conftest import (
     brute_force_census,
+    delta_random_exact,
+    delta_random_nested,
     power_law_signed_graph,
     random_signed_graph,
 )

@@ -145,3 +145,25 @@ def test_signet_error_is_one_line_nonzero_exit(runner, tmp_path):
     assert "Traceback" not in result.output
     errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
     assert errors == ["Error: need N >= 3 and M >= 2"]
+
+
+def test_generate_on_complete_input_is_one_line_error(runner, tmp_path):
+    # K5: every pair of its vertices is an edge, so no step can insert.
+    path = tmp_path / "k5.tsv"
+    path.write_text("".join(
+        f"{u}\t{v}\t+1\n" for u in range(5) for v in range(u + 1, 5)
+    ))
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(
+        {"rho": 0.5, "alpha": 0.5, "beta": 0.5, "eta": 1.0, "delta_b": 1.0}
+    ))
+    result = runner.invoke(main, [
+        "generate", str(path), "--params", str(params), "--runs", "1",
+        "--seed", "0", "--outdir", str(tmp_path / "gen"),
+    ])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1
+    assert "k=5" in errors[0] and "M=10" in errors[0]

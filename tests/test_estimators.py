@@ -8,15 +8,16 @@ from hypothesis import strategies as st
 from signet.errors import DegenerateDegreesError
 from signet.estimators import (
     delta_random_balanced,
-    delta_random_exact,
     delta_random_fast,
-    delta_random_nested,
-    delta_triangle_exact,
     delta_triangle_fast,
-    estimate_all,
     suffix_degree_sums,
 )
 from signet.graph import Sign, build_graph
+from tests.conftest import (
+    delta_random_exact,
+    delta_random_nested,
+    delta_triangle_exact,
+)
 
 
 def test_suffix_sums_recursion():
@@ -160,15 +161,19 @@ def test_delta_triangle_fast_matches_exact_form():
     assert abs(fast - exact) <= 3 * (2 / 20) * (1 / 20) + 1e-12
 
 
-def test_estimate_all_bundles_components(k3_positive):
-    est = estimate_all(k3_positive, eta=1.0, alpha=1.0)
+def test_k3_fast_estimates(k3_positive):
     d = k3_positive.degrees()
-    assert est.delta_random == pytest.approx(delta_random_fast(d, 3))
-    assert est.delta_triangle == pytest.approx(delta_triangle_fast(d, 3))
-    assert est.delta_random_balanced == pytest.approx(est.delta_random)
-    assert est.avg_d == pytest.approx(2.0)
-    assert est.avg_d2 == pytest.approx(4.0)
-    assert 0 <= est.delta_random_balanced <= est.delta_random + 1e-15
+    arr = np.asarray(d, dtype=np.float64)
+    assert arr.mean() == pytest.approx(2.0)
+    assert (arr * arr).mean() == pytest.approx(4.0)
+    # (avg_d2 - avg_d) / (avg_d M N (N-1)) = 1/18 against sum d_i s_i = 12
+    # and sum (d_i - 1)(s_i - N + i) = 3.
+    dr = delta_random_fast(d, 3)
+    assert dr == pytest.approx(2 / 3)
+    assert delta_triangle_fast(d, 3) == pytest.approx(7 / 6)
+    drb = delta_random_balanced(dr, eta=1.0, alpha=1.0)
+    assert drb == pytest.approx(dr)
+    assert 0 <= drb <= dr + 1e-15
 
 
 def test_duplicated_graph_keeps_degree_moments():
@@ -180,7 +185,7 @@ def test_duplicated_graph_keeps_degree_moments():
         + [(u + 3, v + 3, s) for u, v, s in g.edges],
         n=6,
     )
-    e1 = estimate_all(g, 0.5, 0.5)
-    e2 = estimate_all(doubled, 0.5, 0.5)
-    assert e1.avg_d == pytest.approx(e2.avg_d)
-    assert e1.avg_d2 == pytest.approx(e2.avg_d2)
+    d1 = np.asarray(g.degrees(), dtype=np.float64)
+    d2 = np.asarray(doubled.degrees(), dtype=np.float64)
+    assert d1.mean() == pytest.approx(d2.mean())
+    assert (d1 * d1).mean() == pytest.approx((d2 * d2).mean())

@@ -1,14 +1,21 @@
 import importlib
 import itertools
 import math
+import os
 import random
-from collections import Counter
+import tempfile
+from collections import Counter, OrderedDict, deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signet.errors import NoCommonNeighborError, SignetError, StallError
+from signet.errors import (
+    NoCommonNeighborError,
+    RetryExhaustedError,
+    SignetError,
+    StallError,
+)
 from signet.generate import (
     SIGN_POLICY_BALANCE,
     SIGN_POLICY_IID,
@@ -20,6 +27,7 @@ from signet.generate import (
     generation_step,
 )
 from signet.graph import Sign, build_graph, build_sampling_vector
+from signet.io import read_graph, write_canonical
 from signet.learn import ModelParams
 from signet.metrics import compute_eta
 from tests.conftest import power_law_signed_graph
@@ -32,39 +40,56 @@ def make_params(rho=0.3, alpha=0.8, beta=0.9, eta=0.85):
     return ModelParams(rho=rho, alpha=alpha, beta=beta, eta=eta, delta_b=0.8)
 
 
+def live(state):
+    """The ring's live edges as {canonical pair: sign}, oldest first."""
+    return {(min(u, v), max(u, v)): s for u, v, s in state.live_edges()}
+
+
 def audit(state):
-    """Shadow consistency check between live edges and adjacency."""
-    assert len(state.live) == state.target_m
-    for (u, v), s in state.live.items():
-        assert u < v
-        assert state.adj[u][v] is s
-        assert state.adj[v][u] is s
+    """Shadow consistency check between the ring of live edges and
+    adjacency: eu/ev/es agree with adj, and every row lists its vertex's
+    live edges oldest first."""
+    m = state.target_m
+    assert len(state.eu) == len(state.ev) == len(state.es) == m
+    assert 0 <= state.head < m
+    for u, v, s in zip(state.eu, state.ev, state.es):
+        assert u != v
+        assert type(s) is int and s in (1, -1)
+        assert state.adj[u][v] == s
+        assert state.adj[v][u] == s
+    assert len(live(state)) == m
     edge_count = sum(len(a) for a in state.adj) // 2
-    assert edge_count == len(state.live)
+    assert edge_count == m
+    rows = [[] for _ in range(state.n)]
+    for u, v, _ in state.live_edges():
+        rows[u].append(v)
+        rows[v].append(u)
     for u in range(state.n):
-        assert state.nbrs[u] == list(state.adj[u])
+        assert state.nbrs[u] == list(state.adj[u]) == rows[u]
 
 
 def test_fcl_forced_k3():
     # pi over K3's vertices with M = 3: only three legal pairs exist.
     pi = [0, 0, 1, 1, 2, 2]
     state = fcl_initialize(pi, 3, eta=1.0, rng=random.Random(0), n=3)
-    assert set(state.live) == {(0, 1), (0, 2), (1, 2)}
+    assert set(live(state)) == {(0, 1), (0, 2), (1, 2)}
 
 
 def test_fcl_eta_one_all_positive():
     g = power_law_signed_graph(200, 600, seed=1)
     pi = build_sampling_vector(g)
     state = fcl_initialize(pi, g.m, eta=1.0, rng=random.Random(0), n=g.n)
-    assert all(s is Sign.POSITIVE for s in state.live.values())
+    assert all(s == 1 for s in state.es)
+    assert all(s == 1 for a in state.adj for s in a.values())
 
 
 def test_fcl_positive_count_is_rounded_eta_m():
     g = power_law_signed_graph(200, 600, seed=2)
     pi = build_sampling_vector(g)
     state = fcl_initialize(pi, g.m, eta=0.73, rng=random.Random(0), n=g.n)
-    positives = sum(1 for s in state.live.values() if s is Sign.POSITIVE)
+    positives = sum(1 for s in state.es if s == 1)
     assert positives == round(0.73 * g.m)
+    audit(state)
 
 
 def test_fcl_stall_on_impossible_target():
@@ -84,7 +109,7 @@ def test_fcl_endpoint_counts_match_expectation():
     totals = Counter()
     for r in range(runs):
         state = fcl_initialize(pi, m, eta=0.5, rng=random.Random(100 + r), n=g.n)
-        for (u, v) in state.live:
+        for u, v in zip(state.eu, state.ev):
             totals[u] += 1
             totals[v] += 1
     two_m = len(pi)
@@ -106,7 +131,11 @@ def wedge_state(edges, n, rho=0.0, alpha=0.5, beta=1.0):
         eta=0.5, rng=random.Random(0),
     )
     for u, v, s in edges:
-        state.insert(u, v, s)
+        state.eu.append(u)
+        state.ev.append(v)
+        state.es.append(int(s))
+        state.adj[u][v] = state.adj[v][u] = int(s)
+    state.nbrs = [list(a) for a in state.adj]
     return state
 
 
@@ -161,12 +190,12 @@ def test_walk_matches_enumerated_kernel():
 
 def test_choose_wedge_sign_single_balanced_wedge():
     state = wedge_state([(0, 2, Sign.POSITIVE), (1, 2, Sign.POSITIVE)], 3)
-    assert choose_wedge_sign(state, 0, 1, True, alpha=0.5) is Sign.POSITIVE
+    assert choose_wedge_sign(state, 0, 1, True, alpha=0.5) == 1
 
 
 def test_choose_wedge_sign_single_mixed_wedge():
     state = wedge_state([(0, 2, Sign.POSITIVE), (1, 2, Sign.NEGATIVE)], 3)
-    assert choose_wedge_sign(state, 0, 1, True, alpha=0.5) is Sign.NEGATIVE
+    assert choose_wedge_sign(state, 0, 1, True, alpha=0.5) == -1
 
 
 def test_choose_wedge_sign_majority_and_unbalanced_branch():
@@ -177,8 +206,8 @@ def test_choose_wedge_sign_majority_and_unbalanced_branch():
         (0, 4, Sign.POSITIVE), (1, 4, Sign.NEGATIVE),
     ]
     state = wedge_state(edges, 5)
-    assert choose_wedge_sign(state, 0, 1, True, alpha=0.5) is Sign.POSITIVE
-    assert choose_wedge_sign(state, 0, 1, False, alpha=0.5) is Sign.NEGATIVE
+    assert choose_wedge_sign(state, 0, 1, True, alpha=0.5) == 1
+    assert choose_wedge_sign(state, 0, 1, False, alpha=0.5) == -1
 
 
 def test_choose_wedge_sign_tie_uses_alpha():
@@ -190,7 +219,8 @@ def test_choose_wedge_sign_tie_uses_alpha():
     draws = Counter(
         choose_wedge_sign(state, 0, 1, True, alpha=0.8) for _ in range(2000)
     )
-    frac_pos = draws[Sign.POSITIVE] / 2000
+    assert set(draws) <= {1, -1}
+    frac_pos = draws[1] / 2000
     assert abs(frac_pos - 0.8) < 3 * math.sqrt(0.8 * 0.2 / 2000)
 
 
@@ -211,11 +241,12 @@ def test_rho_zero_sign_frequency_matches_alpha():
     pos = 0
     steps = 5000
     for _ in range(steps):
-        before = set(state.live)
+        before = set(live(state))
         generation_step(state)
-        new = set(state.live) - before
+        after = live(state)
+        new = set(after) - before
         (key,) = new
-        if state.live[key] is Sign.POSITIVE:
+        if after[key] == 1:
             pos += 1
     frac = pos / steps
     assert abs(frac - alpha) < 3.5 * math.sqrt(alpha * (1 - alpha) / steps)
@@ -229,9 +260,9 @@ def test_rho_one_every_insertion_closes_a_triangle():
         rho=1.0, alpha=0.8, beta=0.9,
     )
     for _ in range(300):
-        before = set(state.live)
+        before = set(live(state))
         generation_step(state)
-        new = set(state.live) - before
+        new = set(live(state)) - before
         if not new:
             continue  # the evicted edge may coincide with an old key
         (key,) = new
@@ -253,7 +284,7 @@ def test_collision_pushes_vertices_to_queue_and_consumes_them_first():
     state.rho = 0.0
     state.alpha = 1.0
     # Seed the adjacency with edge (0,1); inserting (0,1) again collides.
-    assert (0, 1) in state.live
+    assert (0, 1) in live(state)
     state.pending.append(0)
     state.pending.append(1)
     assert state.next_vertex() == (0, True)
@@ -278,12 +309,12 @@ def test_eviction_is_fifo():
     pi = list(range(10)) * 4
     state = fcl_initialize(pi, 8, eta=0.5, rng=random.Random(4), n=10,
                            rho=0.0, alpha=0.5, beta=0.5)
-    first_key = next(iter(state.live))
+    first_key = next(iter(live(state)))
     generation_step(state)
-    assert first_key not in state.live
-    second_key = next(iter(state.live))
+    assert first_key not in live(state)
+    second_key = next(iter(live(state)))
     generation_step(state)
-    assert second_key not in state.live
+    assert second_key not in live(state)
 
 
 def test_generate_preserves_edge_count_and_n():
@@ -366,7 +397,7 @@ ORACLE_GRAPHS = {
     "power-law": lambda: power_law_signed_graph(300, 1200, seed=11),
     "hub-heavy": lambda: power_law_signed_graph(400, 1600, seed=12, gamma=2.1),
     "star": lambda: build_graph([(0, i, Sign.POSITIVE) for i in range(1, 12)]),
-    # Complete: no legal insertion exists, so every seed runs out of retries.
+    # Complete: no legal insertion exists, so generate refuses it.
     "k3": lambda: build_graph(
         [(0, 1, Sign.POSITIVE), (1, 2, Sign.POSITIVE), (0, 2, Sign.NEGATIVE)]
     ),
@@ -445,3 +476,270 @@ def test_rows_released_before_output_build(monkeypatch):
 
     monkeypatch.setattr(G, "build_graph", build_after_release)
     assert G._run(state).m == g.m
+
+
+class TupleKeyState:
+    """The generator state that the ring replaces, kept as an oracle: an
+    OrderedDict of live edges keyed by canonical (u, v) tuples, Sign values,
+    and FIFO rows appended on every insert, FCL included."""
+
+    def __init__(self, n, pi, target_m, rho, alpha, beta, eta, rng, sign_policy):
+        self.n, self.pi, self.target_m = n, pi, target_m
+        self.rho, self.alpha, self.beta, self.eta = rho, alpha, beta, eta
+        self.rng, self.sign_policy = rng, sign_policy
+        self.live = OrderedDict()
+        self.adj = [dict() for _ in range(n)]
+        self.nbrs = [[] for _ in range(n)]
+        self.pending = deque()
+        self.steps_done = 0
+
+    def insert(self, u, v, sign):
+        self.live[(u, v) if u < v else (v, u)] = sign
+        self.adj[u][v] = sign
+        self.adj[v][u] = sign
+        self.nbrs[u].append(v)
+        self.nbrs[v].append(u)
+
+    def evict_oldest(self):
+        (u, v), _ = self.live.popitem(last=False)
+        del self.adj[u][v]
+        del self.adj[v][u]
+        del self.nbrs[u][0]
+        del self.nbrs[v][0]
+
+    def next_vertex(self):
+        if self.pending:
+            return self.pending.popleft(), True
+        return self.pi[self.rng.randrange(len(self.pi))], False
+
+    def park(self, v, from_queue):
+        if not from_queue:
+            self.pending.append(v)
+
+
+def oracle_fcl(pi, m, eta, rng, n, rho, alpha, beta, sign_policy):
+    state = TupleKeyState(n, pi, m, rho, alpha, beta, eta, rng, sign_policy)
+    budget = 100 * m
+    while len(state.live) < m:
+        if budget <= 0:
+            raise StallError(f"FCL could not place {m} distinct edges")
+        budget -= 1
+        u = pi[rng.randrange(len(pi))]
+        v = pi[rng.randrange(len(pi))]
+        if u == v or v in state.adj[u]:
+            continue
+        state.insert(u, v, Sign.NEGATIVE)
+    keys = list(state.live.keys())
+    for idx in rng.sample(range(m), round(eta * m)):
+        u, v = keys[idx]
+        state.live[(u, v)] = Sign.POSITIVE
+        state.adj[u][v] = Sign.POSITIVE
+        state.adj[v][u] = Sign.POSITIVE
+    return state
+
+
+def oracle_step(state):
+    rng = state.rng
+
+    def sign_of_new_edge(wedge, v_i, v_j):
+        if state.sign_policy == SIGN_POLICY_IID:
+            return Sign.POSITIVE if rng.random() < state.eta else Sign.NEGATIVE
+        if wedge:
+            balanced = rng.random() < state.beta
+            return wedge_sign_oracle(state, v_i, v_j, balanced, state.alpha)
+        return Sign.POSITIVE if rng.random() < state.alpha else Sign.NEGATIVE
+
+    wedge_branch = rng.random() < state.rho
+    walk_failures = 0
+    for _ in range(100):
+        v_i, i_queued = state.next_vertex()
+        if wedge_branch:
+            row = state.nbrs[v_i]
+            if not row:
+                state.park(v_i, i_queued)
+                wedge_branch = False
+                continue
+            v_k = row[rng.randrange(len(row))]
+            v_j = state.nbrs[v_k][rng.randrange(len(state.nbrs[v_k]))]
+            if v_j == v_i:
+                state.park(v_i, i_queued)
+                walk_failures += 1
+            elif v_j in state.adj[v_i]:
+                state.park(v_i, i_queued)
+                state.park(v_j, False)
+                walk_failures += 1
+            else:
+                state.insert(v_i, v_j, sign_of_new_edge(True, v_i, v_j))
+                state.evict_oldest()
+                state.steps_done += 1
+                return
+            if walk_failures >= 10:
+                wedge_branch = False
+            continue
+        v_j, j_queued = state.next_vertex()
+        if v_j == v_i:
+            state.park(v_i, i_queued and j_queued)
+            continue
+        if v_j in state.adj[v_i]:
+            state.park(v_i, i_queued)
+            state.park(v_j, j_queued)
+            continue
+        state.insert(v_i, v_j, sign_of_new_edge(False, v_i, v_j))
+        state.evict_oldest()
+        state.steps_done += 1
+        return
+    raise RetryExhaustedError(
+        f"step {state.steps_done}: no legal edge after 100 tries"
+    )
+
+
+def oracle_state_run(g, params, seed, policy):
+    """FCL plus M rounds on the tuple-key state; returns the output rows."""
+    state = oracle_fcl(
+        build_sampling_vector(g), g.m, params.eta, random.Random(seed), g.n,
+        params.rho, params.alpha, params.beta, policy,
+    )
+    for _ in range(g.m):
+        oracle_step(state)
+    return build_graph(((u, v, s) for (u, v), s in state.live.items()), n=g.n).edges
+
+
+def oracle_generate(g, params, seed, policy):
+    """What ``generate`` must do: refuse an input whose non-isolated
+    vertices are pairwise adjacent (checked here by brute force), else run
+    the tuple-key state."""
+    used = [v for v in range(g.n) if g.adj[v]]
+    if all(g.has_edge(u, v) for u, v in itertools.combinations(used, 2)):
+        raise StallError("no room")
+    return oracle_state_run(g, params, seed, policy)
+
+
+STATE_ORACLE_GRAPHS = {
+    "power-law-2.1": lambda: power_law_signed_graph(400, 1600, seed=14, gamma=2.1),
+    "power-law-3.0": lambda: power_law_signed_graph(400, 1600, seed=15, gamma=3.0),
+    "star": ORACLE_GRAPHS["star"],
+    "k3": ORACLE_GRAPHS["k3"],
+}
+
+
+def outcome(run):
+    """Output rows, or the type of the SignetError raised."""
+    try:
+        return run()
+    except SignetError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", sorted(STATE_ORACLE_GRAPHS))
+@pytest.mark.parametrize("policy", [SIGN_POLICY_BALANCE, SIGN_POLICY_IID])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_generate_equals_tuple_key_state_oracle(name, policy, seed):
+    g = STATE_ORACLE_GRAPHS[name]()
+    params = make_params(rho=0.6)
+    rows = outcome(lambda: generate(g, params, seed=seed, sign_policy=policy).edges)
+    assert rows == outcome(lambda: oracle_generate(g, params, seed, policy))
+    assert (rows is StallError) == (name == "k3")
+
+
+def test_ring_runs_out_of_retries_like_tuple_key_state():
+    # Past the room check, a complete input exhausts a step's retries in
+    # both states, at the same step and with the same message.
+    g = ORACLE_GRAPHS["k3"]()
+    params = make_params(rho=0.6)
+    for seed in (0, 1, 7):
+        for policy in (SIGN_POLICY_BALANCE, SIGN_POLICY_IID):
+            state = fcl_initialize(
+                build_sampling_vector(g), g.m, params.eta, random.Random(seed),
+                n=g.n, rho=params.rho, alpha=params.alpha, beta=params.beta,
+                sign_policy=policy,
+            )
+            with pytest.raises(RetryExhaustedError) as ring:
+                G._run(state)
+            with pytest.raises(RetryExhaustedError) as tuple_key:
+                oracle_state_run(g, params, seed, policy)
+            assert str(ring.value) == str(tuple_key.value)
+
+
+def complete_graph(k, n=None):
+    return build_graph(
+        [(u, v, Sign.POSITIVE) for u, v in itertools.combinations(range(k), 2)], n=n
+    )
+
+
+@pytest.mark.parametrize("g, k, m", [
+    (complete_graph(5), 5, 10),
+    (complete_graph(3), 3, 3),
+    (complete_graph(2, n=3), 2, 1),
+    (complete_graph(4, n=9), 4, 6),
+])
+def test_generate_refuses_input_without_room(g, k, m):
+    with pytest.raises(StallError) as err:
+        generate(g, make_params(), seed=0)
+    assert f"k={k}" in str(err.value)
+    assert f"M={m}" in str(err.value)
+
+
+def test_room_check_passes_an_input_with_a_free_pair():
+    # K4 plus a pendant edge and an isolated vertex: 6 non-isolated
+    # vertices, 7 edges, 15 pairs.
+    g = build_graph(
+        [(u, v, Sign.POSITIVE) for u, v in itertools.combinations(range(4), 2)]
+        + [(3, 5, Sign.NEGATIVE), (4, 5, Sign.NEGATIVE)], n=7,
+    )
+    G._require_room(g)
+    assert generate(g, make_params(), seed=0).m == g.m
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(3, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=2))
+    signs = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+    extra = draw(st.integers(0, 3))
+    return build_graph(
+        [(u, v, Sign.POSITIVE if s else Sign.NEGATIVE)
+         for (u, v), s in zip(chosen, signs)],
+        n=n + extra,
+    )
+
+
+unit = st.floats(0.0, 1.0)
+
+
+@given(
+    small_graphs(), unit, unit, unit, unit, st.integers(0, 2**32 - 1),
+    st.sampled_from([SIGN_POLICY_BALANCE, SIGN_POLICY_IID]),
+)
+@settings(max_examples=150, deadline=None)
+def test_generated_graph_invariants(g, rho, alpha, beta, eta, seed, policy):
+    params = ModelParams(rho=rho, alpha=alpha, beta=beta, eta=eta, delta_b=0.5)
+    try:
+        out = generate(g, params, seed=seed, sign_policy=policy)
+    except SignetError:
+        return  # dense inputs may leave no room; the error is typed
+    assert out.n == g.n
+    assert out.m == g.m
+    pairs = [(u, v) for u, v, _ in out.edges]
+    assert all(u < v for u, v in pairs)  # canonical, so no self-loops
+    assert len(set(pairs)) == len(pairs)
+    assert all(s is Sign.POSITIVE or s is Sign.NEGATIVE for _, _, s in out.edges)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.tsv")
+        write_canonical(out, path)
+        back = read_graph(path)
+    assert sorted(back.edges) == sorted(out.edges)
+
+
+@given(small_graphs(), unit, st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_fcl_leaves_rounded_eta_m_positive_slots(g, eta, seed):
+    try:
+        state = fcl_initialize(
+            build_sampling_vector(g), g.m, eta, random.Random(seed), n=g.n
+        )
+    except StallError:
+        return
+    assert state.es.count(1) == round(eta * g.m)
+    assert state.es.count(-1) == g.m - round(eta * g.m)
+    audit(state)

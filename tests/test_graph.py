@@ -35,6 +35,37 @@ def test_build_graph_self_loop():
         build_graph([(2, 2, Sign.POSITIVE)])
 
 
+@pytest.mark.parametrize("bad", [0, 2, "x", None, [1]])
+def test_build_graph_rejects_bad_sign(bad):
+    with pytest.raises(ValueError):
+        build_graph([(0, 1, bad)])
+
+
+@pytest.mark.parametrize("value, sign", [
+    (True, Sign.POSITIVE), (1.0, Sign.POSITIVE), (-1.0, Sign.NEGATIVE),
+    (1, Sign.POSITIVE), (-1, Sign.NEGATIVE), (Sign.NEGATIVE, Sign.NEGATIVE),
+])
+def test_build_graph_accepts_what_sign_accepts(value, sign):
+    (edge,) = build_graph([(0, 1, value)]).edges
+    assert edge[2] is sign
+
+
+@given(st.one_of(
+    st.integers(-3, 3), st.floats(allow_nan=True), st.booleans(), st.none(),
+    st.text(max_size=3), st.lists(st.integers(-2, 2), max_size=2),
+))
+@settings(max_examples=300, deadline=None)
+def test_build_graph_sign_validation_equals_sign_constructor(value):
+    try:
+        expected = Sign(value)
+    except ValueError:
+        with pytest.raises(ValueError):
+            build_graph([(0, 1, value)])
+        return
+    (edge,) = build_graph([(0, 1, value)]).edges
+    assert edge[2] is expected
+
+
 def test_build_graph_n_override_keeps_isolated_vertices():
     g = build_graph([(0, 1, Sign.POSITIVE)], n=5)
     assert g.n == 5

@@ -23,7 +23,6 @@ from tests.conftest import power_law_signed_graph, random_signed_graph
 def est(dr, drb, dt):
     return TriangleEstimates(
         delta_random=dr, delta_random_balanced=drb, delta_triangle=dt,
-        avg_d=0.0, avg_d2=0.0,
     )
 
 
@@ -116,6 +115,31 @@ def test_update_alpha_clamps_and_warns():
     alpha = update_alpha(0.915, 0.4, 0.9, warnings)
     assert alpha == 1.0
     assert warnings and "clamped" in warnings[0]
+
+
+def clamp_warnings(params):
+    return [w for w in params.warnings if "clamped" in w]
+
+
+def test_float_noise_clamps_without_warning():
+    # A 5-star's alpha lands just above 1 (rho sits on its floor) and K5's
+    # beta lands within float noise of 1: both clamp silently.
+    star = build_graph([(0, i, Sign.POSITIVE) for i in range(1, 6)])
+    star_params = learn_parameters(star)
+    assert star_params.alpha == 1.0
+    assert not [w for w in clamp_warnings(star_params) if w.startswith("alpha")]
+    k5 = build_graph(
+        [(u, v, Sign.POSITIVE) for u in range(5) for v in range(u + 1, 5)]
+    )
+    k5_params = learn_parameters(k5)
+    assert k5_params.beta == 1.0
+    assert clamp_warnings(k5_params) == []
+
+
+def test_real_clamp_still_warns(k3_mixed):
+    params = learn_parameters(k3_mixed)
+    assert params.beta == 0.0
+    assert "beta=-0.2963 clamped to [0, 1]" in clamp_warnings(params)
 
 
 def test_update_alpha_rho_at_one():
