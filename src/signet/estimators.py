@@ -7,15 +7,12 @@ in the tests as oracles.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateDegreesError
-
-COMPENSATED_SUM_THRESHOLD = 100_000
 
 
 @dataclass(frozen=True)
@@ -28,8 +25,8 @@ class TriangleEstimates:
 
 
 def suffix_degree_sums(degrees: Sequence[int]) -> np.ndarray:
-    """s[i] = sum of degrees after index i; s[n-1] = 0."""
-    d = np.asarray(degrees, dtype=np.float64)
+    """s[i] = sum of degrees after index i; s[n-1] = 0 (int64)."""
+    d = np.asarray(degrees, dtype=np.int64)
     s = np.zeros_like(d)
     if len(d) > 1:
         s[:-1] = np.cumsum(d[::-1])[::-1][1:]
@@ -37,17 +34,10 @@ def suffix_degree_sums(degrees: Sequence[int]) -> np.ndarray:
 
 
 def _check_degrees(degrees: Sequence[int]) -> np.ndarray:
-    d = np.asarray(degrees, dtype=np.float64)
+    d = np.asarray(degrees, dtype=np.int64)
     if d.sum() == 0:
         raise DegenerateDegreesError("all degrees are zero")
     return d
-
-
-def _weighted_suffix_dot(weights: np.ndarray, s: np.ndarray) -> float:
-    # Sums of d_i * s_i can reach ~(2M)^2; compensate for large N.
-    if len(weights) > COMPENSATED_SUM_THRESHOLD:
-        return math.fsum(float(w) * float(v) for w, v in zip(weights, s))
-    return float(np.dot(weights, s))
 
 
 def delta_random_fast(degrees: Sequence[int], m: int) -> float:
@@ -62,8 +52,9 @@ def delta_random_fast(degrees: Sequence[int], m: int) -> float:
         raise DegenerateDegreesError("need N >= 2 and M >= 1")
     avg_d = d.mean()
     avg_d2 = float((d * d).mean())
-    s = suffix_degree_sums(d)
-    total = _weighted_suffix_dot(d, s)
+    # Sums of d_i * s_i reach ~(2M)^2, exact in int64. The means are exact
+    # too: every partial sum of integers below 2^53 is a float exactly.
+    total = float(np.dot(d, suffix_degree_sums(d)))
     return float((avg_d2 - avg_d) / (avg_d * m * n * (n - 1)) * total)
 
 
@@ -95,7 +86,6 @@ def delta_triangle_fast(degrees: Sequence[int], m: int) -> float:
         raise DegenerateDegreesError("need N >= 3 and M >= 2")
     avg_d = d.mean()
     avg_d2 = float((d * d).mean())
-    s = suffix_degree_sums(d)
-    idx = np.arange(1, n + 1, dtype=np.float64)
-    extra = _weighted_suffix_dot(d - 1.0, s - n + idx)
+    idx = np.arange(1, n + 1, dtype=np.int64)
+    extra = float(np.dot(d - 1, suffix_degree_sums(d) - n + idx))
     return float(1.0 + (avg_d2 - avg_d) / (avg_d * m * n * (n - 1)) * extra)

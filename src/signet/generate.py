@@ -6,8 +6,8 @@ insert/evict rounds that mix two-hop wedge closures (balance-driven signs)
 with random insertions (sign-corrected by alpha). Collisions park their
 vertices on a FIFO queue that is drained before new sampling-vector draws.
 
-The state holds plain ints only: a sign is +1 or -1 and becomes a ``Sign``
-in the output build. The M live edges sit in a fixed ring of slots, edge
+The state holds plain ints only: a sign is +1 or -1, as in the output
+graph's sign column. The M live edges sit in a fixed ring of slots, edge
 (``eu[i]``, ``ev[i]``) with sign ``es[i]``, and ``head`` is the slot of the
 oldest one. A round overwrites that slot with the new edge: an insertion
 and a FIFO eviction in one write, since the new edge is never live, hence
@@ -30,6 +30,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import Iterator, Optional
+
+import numpy as np
 
 from .errors import NoCommonNeighborError, RetryExhaustedError, StallError
 from .graph import SignedGraph, build_graph, build_sampling_vector
@@ -260,7 +262,7 @@ def _require_room(g_input: SignedGraph) -> None:
     """Refuse an input whose non-isolated vertices are pairwise adjacent:
     every pair the generator can draw is then live, so no step can insert.
     """
-    k = sum(1 for a in g_input.adj if a)
+    k = int(np.count_nonzero(g_input.degrees()))
     if k * (k - 1) // 2 == g_input.m:
         raise StallError(
             f"no room to generate: the input's k={k} non-isolated vertices "

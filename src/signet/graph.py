@@ -1,15 +1,23 @@
 """Signed-graph representation and degree-proportional sampling.
 
 Vertices are dense integers in [0, n). Edges are undirected, unweighted and
-carry a sign; the adjacency index gives O(1) expected sign lookup and O(d)
-neighbor iteration with deterministic order (insertion order of edges).
+carry a sign. A graph is three numpy columns in edge-index order, the
+smaller endpoint ``u``, the larger endpoint ``v`` and the ``sign`` (+1 or
+-1), so it holds no Python object per edge. Readers that walk neighbours
+use ``rows``, a CSR index built on first use that lists each vertex's
+neighbours in edge-index order; ``edges`` rebuilds the (u, v, Sign) triples
+on demand.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .errors import DuplicateEdgeError, EmptyGraphError, SelfLoopError
 
@@ -25,55 +33,84 @@ class Sign(enum.IntEnum):
         return "+" if self is Sign.POSITIVE else "-"
 
 
-# Sign lookup for build_graph; anything it lacks goes through Sign(s), which
-# accepts or rejects exactly as before.
-_SIGN_OF = {1: Sign.POSITIVE, -1: Sign.NEGATIVE}
-
-
 def canonical_pair(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
-class SignedGraph:
-    """Immutable undirected signed graph.
+# One triple per record; object fields keep each value as given, so the
+# checks in build_graph see exactly what the caller passed.
+_TRIPLE = np.dtype([("u", object), ("v", object), ("s", object)])
 
-    ``adj[u]`` maps each neighbor of ``u`` to the sign of the connecting
-    edge. ``labels``, when present, maps dense vertex ids back to the
-    original identifiers seen during ingestion.
+
+@dataclass(frozen=True, eq=False)
+class SignedGraph:
+    """Immutable undirected signed graph as read-only edge columns.
+
+    Edge ``e`` joins ``u[e] < v[e]`` with sign ``sign[e]``. ``labels``, when
+    present, maps dense vertex ids back to the original identifiers seen
+    during ingestion.
     """
 
     n: int
-    edges: tuple[tuple[int, int, Sign], ...]
-    adj: tuple[dict[int, Sign], ...]
+    u: np.ndarray  # int64, smaller endpoint
+    v: np.ndarray  # int64, larger endpoint
+    sign: np.ndarray  # int8, +1 or -1
     labels: Optional[tuple] = None
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.u)
 
     @property
     def m_positive(self) -> int:
-        return sum(1 for _, _, s in self.edges if s is Sign.POSITIVE)
+        return int(np.count_nonzero(self.sign > 0))
 
     @property
     def m_negative(self) -> int:
         return self.m - self.m_positive
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
+    @property
+    def edges(self) -> tuple[tuple[int, int, Sign], ...]:
+        """The edges as (u, v, Sign) triples in edge-index order, built
+        on each call."""
+        signs = map({1: Sign.POSITIVE, -1: Sign.NEGATIVE}.__getitem__, self.sign.tolist())
+        return tuple(zip(self.u.tolist(), self.v.tolist(), signs))
 
-    def degrees(self) -> list[int]:
-        return [len(nbrs) for nbrs in self.adj]
+    def degrees(self) -> np.ndarray:
+        """int64 degree of every vertex."""
+        return np.bincount(self.u, minlength=self.n) + np.bincount(self.v, minlength=self.n)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
+    @cached_property
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR ``(indptr, nbr)``: vertex a's neighbours are
+        ``nbr[indptr[a]:indptr[a + 1]]``, in the order of the edges that
+        join them to a."""
+        ends = np.column_stack((self.u, self.v)).ravel()
+        # A stable sort of the endpoints in edge order keeps each row in it.
+        order = np.argsort(ends, kind="stable")
+        nbr = np.column_stack((self.v, self.u)).ravel()[order]
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(self.degrees(), out=indptr[1:])
+        return indptr, nbr
 
-    def sign(self, u: int, v: int) -> Sign:
-        return self.adj[u][v]
+    def neighbors(self, v: int) -> list[int]:
+        indptr, nbr = self.rows
+        return nbr[indptr[v]:indptr[v + 1]].tolist()
 
-    def neighbors(self, v: int) -> Sequence[int]:
-        return list(self.adj[v].keys())
+
+def _first(mask: np.ndarray) -> int:
+    """Index of the first True in ``mask``, or len(mask) if there is none."""
+    return int(np.argmax(mask)) if mask.any() else len(mask)
+
+
+def _first_duplicate(keys: np.ndarray) -> int:
+    """Index of the first key equal to an earlier one, or len(keys)."""
+    ordered = np.sort(keys)
+    if not (ordered[1:] == ordered[:-1]).any():
+        return len(keys)
+    order = np.argsort(keys, kind="stable")
+    later = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    return int(later.min())
 
 
 def build_graph(
@@ -83,38 +120,50 @@ def build_graph(
 ) -> SignedGraph:
     """Construct a canonicalized SignedGraph from (u, v, sign) triples.
 
-    Rejects self-loops and duplicate undirected pairs. The vertex count is
-    1 + max id unless ``n`` overrides it (isolated vertices are retained).
+    Vertex ids must be integers (``TypeError`` otherwise) whose pair keys
+    fit int64, i.e. below ~3e9 (``ValueError``). A sign may be any value
+    ``Sign(s)`` accepts. Rejects, at the first offending edge in input order, negative
+    ids (``ValueError``), self-loops and duplicate undirected pairs, then
+    signs ``Sign`` rejects (``ValueError``); each edge is checked in that
+    order. The vertex count is 1 + max id unless ``n`` overrides it
+    (isolated vertices are retained).
     """
-    edges: list[tuple[int, int, Sign]] = []
-    seen: set[tuple[int, int]] = set()
-    max_id = -1
-    for u, v, s in edge_triples:
-        if u < 0 or v < 0:
-            raise ValueError(f"negative vertex id in edge ({u}, {v})")
-        if u == v:
-            raise SelfLoopError(u)
-        pair = canonical_pair(u, v)
-        if pair in seen:
-            raise DuplicateEdgeError(*pair)
-        seen.add(pair)
-        try:
-            sign = _SIGN_OF[s]
-        except (KeyError, TypeError):
-            sign = Sign(s)
-        edges.append((pair[0], pair[1], sign))
-        max_id = max(max_id, pair[1])
+    rec = np.fromiter(map(tuple, edge_triples), dtype=_TRIPLE)
+    m = len(rec)
+    u = np.fromiter(map(operator.index, rec["u"]), dtype=np.int64, count=m)
+    v = np.fromiter(map(operator.index, rec["v"]), dtype=np.int64, count=m)
+    positive = rec["s"] == 1
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    max_id = int(hi.max()) if m else -1
+    if (max_id + 1) ** 2 > np.iinfo(np.int64).max:
+        raise ValueError(f"vertex id {max_id} too large")
+    # First offending edge of each kind; on one edge the kinds apply in
+    # this order, so the smallest (index, kind) is the error to raise.
+    firsts = [
+        _first(lo < 0),
+        _first(u == v),
+        _first_duplicate(lo * (max_id + 1) + hi),
+        _first(~(positive | (rec["s"] == -1))),
+    ]
+    e = min(firsts)
+    if e < m:
+        a, b, s = rec[e]
+        kind = firsts.index(e)
+        if kind == 0:
+            raise ValueError(f"negative vertex id in edge ({a}, {b})")
+        if kind == 1:
+            raise SelfLoopError(a)
+        if kind == 2:
+            raise DuplicateEdgeError(*canonical_pair(a, b))
+        Sign(s)  # raises Sign's own ValueError
     count = (max_id + 1) if n is None else n
     if count < max_id + 1:
         raise ValueError(f"n={count} too small for max vertex id {max_id}")
-    adj: list[dict[int, Sign]] = [dict() for _ in range(count)]
-    for u, v, s in edges:
-        adj[u][v] = s
-        adj[v][u] = s
+    sign = np.where(positive, 1, -1).astype(np.int8)
+    for col in (lo, hi, sign):
+        col.flags.writeable = False
     return SignedGraph(
-        n=count,
-        edges=tuple(edges),
-        adj=tuple(adj),
+        n=count, u=lo, v=hi, sign=sign,
         labels=tuple(labels) if labels is not None else None,
     )
 
@@ -122,14 +171,10 @@ def build_graph(
 def build_sampling_vector(g: SignedGraph) -> list[int]:
     """Degree-proportional sampling vector: vertex i appears degree(i) times.
 
-    A uniform draw picks vertex i with probability d_i / (2M). Length is
-    exactly 2M; isolated vertices never appear.
+    A uniform draw picks vertex i with probability d_i / 2M. It lists both
+    endpoints of each edge in edge order, so its length is exactly 2M and
+    isolated vertices never appear.
     """
     if g.m == 0:
         raise EmptyGraphError("cannot build sampling vector of an empty graph")
-    pi: list[int] = []
-    for u, v, _ in g.edges:
-        pi.append(u)
-        pi.append(v)
-    return pi
-
+    return np.column_stack((g.u, g.v)).ravel().tolist()

@@ -17,8 +17,10 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .errors import EmptyResultError, MalformedRowError, ParseError
-from .graph import Sign, SignedGraph, build_graph
+from .graph import SignedGraph, build_graph
 
 DATA_DIR_ENV = "SIGNET_DATA_DIR"
 
@@ -59,11 +61,7 @@ def ingest_ratings(rows: Iterable[RawRating]) -> SignedGraph:
         pair = (u, v) if u < v else (v, u)
         totals[pair] = totals.get(pair, 0.0) + row.weight
 
-    triples = [
-        (u, v, Sign.POSITIVE if w > 0 else Sign.NEGATIVE)
-        for (u, v), w in totals.items()
-        if w != 0
-    ]
+    triples = [(u, v, 1 if w > 0 else -1) for (u, v), w in totals.items() if w != 0]
     if not triples:
         raise EmptyResultError("no signed edges left after aggregation")
     return build_graph(triples, n=len(labels), labels=labels)
@@ -91,13 +89,14 @@ def parse_rating_lines(lines: Iterable[str]) -> list[RawRating]:
     return rows
 
 
-_SIGN_TOKENS = {"+1": Sign.POSITIVE, "1": Sign.POSITIVE, "+": Sign.POSITIVE,
-                "-1": Sign.NEGATIVE, "-": Sign.NEGATIVE}
+_SIGN_TOKENS = {"+1": 1, "1": 1, "+": 1, "-1": -1, "-": -1}
 
 
 def read_canonical(path: str | os.PathLike) -> SignedGraph:
     """Read a canonical edge list; raises ParseError on any invalid line."""
-    triples = []
+    us: list[int] = []
+    vs: list[int] = []
+    signs: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
         for no, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
@@ -116,17 +115,20 @@ def read_canonical(path: str | os.PathLike) -> SignedGraph:
                 raise ParseError(no, f"self-loop on vertex {u}")
             if u < 0 or v < 0:
                 raise ParseError(no, "negative vertex id")
-            triples.append((u, v, _SIGN_TOKENS[parts[2]]))
-    if not triples:
+            us.append(u)
+            vs.append(v)
+            signs.append(_SIGN_TOKENS[parts[2]])
+    if not us:
         raise ParseError(0, "no edges in file")
-    return build_graph(triples)
+    return build_graph(zip(us, vs, signs))
 
 
 def write_canonical(g: SignedGraph, path: str | os.PathLike) -> None:
     """Write a graph as a canonical edge list (sorted, diff-friendly)."""
+    order = np.lexsort((g.v, g.u))
+    edges = zip(g.u[order].tolist(), g.v[order].tolist(), g.sign[order].tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        for u, v, s in sorted(g.edges):
-            fh.write(f"{u}\t{v}\t{int(s):+d}\n")
+        fh.writelines(f"{u}\t{v}\t{s:+d}\n" for u, v, s in edges)
 
 
 def read_graph(path: str | os.PathLike) -> SignedGraph:

@@ -25,7 +25,7 @@ from .estimators import (
     delta_triangle_fast,
 )
 from .graph import SignedGraph
-from .metrics import EdgeArrays, compute_eta, list_triangles, triangle_census
+from .metrics import compute_eta, list_triangles, triangle_census
 
 log = logging.getLogger(__name__)
 
@@ -99,28 +99,28 @@ def em_edge_responsibility(
     sampling vector, d_j / 2M. This is the reference definition;
     ``em_learn_rho`` reproduces it for whole edge samples at once.
     """
-    d_i = len(g.adj[v_i])
+    row_i, nbrs_j = g.neighbors(v_i), set(g.neighbors(v_j))
+    d_i = len(row_i)
     wedge = 0.0
-    adj_j = g.adj[v_j]
-    for v_k in g.adj[v_i]:
-        if v_k in adj_j:
-            wedge += 1.0 / (d_i * len(g.adj[v_k]))
+    for v_k in row_i:
+        if v_k in nbrs_j:
+            wedge += 1.0 / (d_i * len(g.neighbors(v_k)))
     w = rho_t * wedge
     if w == 0.0:
         return 0.0
-    r = (1.0 - rho_t) * (len(adj_j) / (2.0 * g.m))
+    r = (1.0 - rho_t) * (len(nbrs_j) / (2.0 * g.m))
     return w / (w + r)
 
 
-def _wedge_terms(edges: EdgeArrays) -> np.ndarray:
+def _wedge_terms(g: SignedGraph) -> np.ndarray:
     """Sorted ``slot * M + key`` composites, one per wedge-likelihood term.
 
     Slot 2e + o is edge e conditioned on its smaller (o = 0) or larger
     (o = 1) endpoint v_i. A triangle (i, j, k) gives slot (i -> j) the term
-    1/(d_i d_k), keyed by the index of edge (i, k): k's place in adj[i].
+    1/(d_i d_k), keyed by the index of edge (i, k): k's place in i's row.
     """
-    m = len(edges.u)
-    tri = list_triangles(edges)
+    m = g.m
+    tri = list_triangles(g)
     t = len(tri.x)
     terms = np.empty(6 * t, dtype=np.int64)
     # (edge i-j, v_i, v_j, edge i-k) for the six orientations of each triangle.
@@ -137,17 +137,17 @@ def _wedge_terms(edges: EdgeArrays) -> np.ndarray:
     return terms
 
 
-def wedge_likelihoods(edges: EdgeArrays) -> np.ndarray:
+def wedge_likelihoods(g: SignedGraph) -> np.ndarray:
     """Wedge likelihood of every edge orientation, indexed by slot 2e + o.
 
     Equal bit for bit to the ``wedge`` sum of ``em_edge_responsibility``:
     each slot's terms are summed by ``np.bincount`` in key order, which is
-    the order of the scalar walk over adj[v_i], and a block never splits a
+    the order of the scalar walk over v_i's row, and a block never splits a
     slot.
     """
-    m = len(edges.u)
-    deg = edges.degrees
-    terms = _wedge_terms(edges)
+    m = g.m
+    deg = g.degrees()
+    terms = _wedge_terms(g)
     wedge = np.zeros(2 * m)
     start = 0
     while start < len(terms):
@@ -156,8 +156,8 @@ def wedge_likelihoods(edges: EdgeArrays) -> np.ndarray:
             stop = int(np.searchsorted(terms, (terms[stop - 1] // m + 1) * m))
         slot, key = np.divmod(terms[start:stop], m)
         e = slot >> 1
-        i = np.where(slot & 1, edges.v[e], edges.u[e])
-        k = edges.u[key] + edges.v[key] - i
+        i = np.where(slot & 1, g.v[e], g.u[e])
+        k = g.u[key] + g.v[key] - i
         wedge[slot[0]:slot[-1] + 1] = np.bincount(
             slot - slot[0], weights=1.0 / (deg[i] * deg[k])
         )
@@ -175,10 +175,10 @@ def em_learn_rho(g: SignedGraph, cfg: LearnConfig) -> tuple[float, list[dict]]:
         raise EmptyGraphError("cannot learn on an empty graph")
     rng = random.Random(cfg.seed)
     s = cfg.sample_size(g.m)
-    edges = EdgeArrays.of(g)
-    wedge = wedge_likelihoods(edges)
+    wedge = wedge_likelihoods(g)
     # Random-insertion likelihood d_j / 2M of the far endpoint, per slot.
-    far = np.stack([edges.degrees[edges.v], edges.degrees[edges.u]], axis=1)
+    deg = g.degrees()
+    far = np.stack([deg[g.v], deg[g.u]], axis=1)
     random_lik = far.ravel() / (2.0 * g.m)
     rho = cfg.rho_init
     trace = []

@@ -5,15 +5,14 @@ triangle counts feeding local clustering), the balanced-triangle fraction
 and the degree histogram.
 
 Triangles come from one vectorised listing (``list_triangles``) over the
-edge arrays (``EdgeArrays``); the census here and the EM wedge likelihoods
-in ``learn`` both read it.
+graph's edge columns; the census here and the EM wedge likelihoods in
+``learn`` both read it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -75,35 +74,10 @@ def compute_eta(g: SignedGraph) -> float:
 
 
 @dataclass(frozen=True)
-class EdgeArrays:
-    """``g.edges`` as numpy columns, in edge-index order, plus degrees.
-
-    ``build_graph`` fills every ``adj[a]`` in ``g.edges`` order, so the
-    position of neighbour ``c`` in ``adj[a]`` follows the index of edge
-    (a, c). Keying a per-neighbour term by edge index therefore replays the
-    order in which a walk over ``adj[a]`` meets it.
-    """
-
-    u: np.ndarray  # int64, smaller endpoint
-    v: np.ndarray  # int64, larger endpoint
-    negative: np.ndarray  # bool
-    degrees: np.ndarray  # int64, length n
-
-    @classmethod
-    def of(cls, g: SignedGraph) -> "EdgeArrays":
-        flat = np.fromiter(
-            chain.from_iterable(g.edges), dtype=np.int64, count=3 * g.m
-        ).reshape(g.m, 3)
-        u, v = flat[:, 0].copy(), flat[:, 1].copy()
-        degrees = np.bincount(u, minlength=g.n) + np.bincount(v, minlength=g.n)
-        return cls(u=u, v=v, negative=flat[:, 2] < 0, degrees=degrees)
-
-
-@dataclass(frozen=True)
 class TriangleList:
     """Every triangle once, as found at its lowest-ranked vertex ``x`` with
     forward neighbours ``a`` and ``b``; ``xa``, ``xb`` and ``ab`` are the
-    indices of its edges in ``g.edges``.
+    indices of its edges in ``g``'s columns.
     """
 
     x: np.ndarray
@@ -114,8 +88,8 @@ class TriangleList:
     ab: np.ndarray
 
 
-def list_triangles(edges: EdgeArrays) -> TriangleList:
-    """Degree-ordered forward triangle listing over edge arrays.
+def list_triangles(g: SignedGraph) -> TriangleList:
+    """Degree-ordered forward triangle listing over ``g``'s edge columns.
 
     Vertices are ranked by (degree, id) and each edge points from its
     lower-ranked to its higher-ranked endpoint, so every triangle has one
@@ -125,10 +99,10 @@ def list_triangles(edges: EdgeArrays) -> TriangleList:
     sorted forward edge keys, keeping memory bounded by the block size plus
     the triangles found.
     """
-    n, m = len(edges.degrees), len(edges.u)
+    n, m = g.n, g.m
     rank = np.empty(n, dtype=np.int64)
-    rank[np.argsort(edges.degrees, kind="stable")] = np.arange(n)
-    ru, rv = rank[edges.u], rank[edges.v]
+    rank[np.argsort(g.degrees(), kind="stable")] = np.arange(n)
+    ru, rv = rank[g.u], rank[g.v]
     lo, hi = np.minimum(ru, rv), np.maximum(ru, rv)
     # Forward edges sorted by (lo, hi): each lo's row lists its forward
     # neighbours in rank order.
@@ -168,9 +142,8 @@ def triangle_census(g: SignedGraph, per_vertex: list[int] | None = None) -> Tria
     is passed (a zeroed list of length n) it is filled with the
     sign-agnostic triangle count through each vertex.
     """
-    edges = EdgeArrays.of(g)
-    tri = list_triangles(edges)
-    neg = edges.negative
+    tri = list_triangles(g)
+    neg = g.sign < 0
     counts = np.bincount(
         neg[tri.xa].astype(np.int64) + neg[tri.xb] + neg[tri.ab], minlength=4
     ).tolist()
@@ -194,8 +167,7 @@ def local_clustering(g: SignedGraph) -> list[float]:
     return _clustering(per_vertex, g.degrees())
 
 
-def _clustering(per_vertex: list[int], degrees: list[int]) -> list[float]:
-    d = np.asarray(degrees, dtype=np.int64)
+def _clustering(per_vertex: list[int], d: np.ndarray) -> list[float]:
     coeffs = np.zeros(len(d))
     np.divide(
         2.0 * np.asarray(per_vertex, dtype=np.int64), d * (d - 1),
@@ -208,8 +180,9 @@ def stats_report(g: SignedGraph) -> GraphStats:
     """All measured properties in one pass-friendly bundle."""
     per_vertex = [0] * g.n
     census = triangle_census(g, per_vertex=per_vertex)
-    degrees = g.degrees()
-    clustering = tuple(_clustering(per_vertex, degrees))
+    d = g.degrees()
+    clustering = tuple(_clustering(per_vertex, d))
+    degrees = d.tolist()
     delta_b = census.balanced / census.total if census.total > 0 else 0.0
     return GraphStats(
         eta=compute_eta(g),

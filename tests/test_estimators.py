@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -189,3 +190,30 @@ def test_duplicated_graph_keeps_degree_moments():
     d2 = np.asarray(doubled.degrees(), dtype=np.float64)
     assert d1.mean() == pytest.approx(d2.mean())
     assert (d1 * d1).mean() == pytest.approx((d2 * d2).mean())
+
+
+def fsum_estimates(degrees, m):
+    """delta_random_fast and delta_triangle_fast with their suffix dots
+    summed by math.fsum over float products, the compensated branch the
+    exact int64 dots replaced."""
+    d = np.asarray(degrees, dtype=np.float64)
+    n = len(d)
+    s = np.zeros_like(d)
+    s[:-1] = np.cumsum(d[::-1])[::-1][1:]
+    avg_d = d.mean()
+    avg_d2 = float((d * d).mean())
+    scale = (avg_d2 - avg_d) / (avg_d * m * n * (n - 1))
+    total = math.fsum(float(w) * float(v) for w, v in zip(d, s))
+    idx = np.arange(1, n + 1, dtype=np.float64)
+    extra = math.fsum(float(w) * float(v) for w, v in zip(d - 1.0, s - n + idx))
+    return float(scale * total), float(1.0 + scale * extra)
+
+
+@pytest.mark.parametrize("n", [2_000, 99_999, 100_001, 160_000])
+def test_suffix_dots_equal_fsum_oracle(n):
+    # Power-law degrees with isolated vertices (d - 1 = -1) and large hubs.
+    rng = np.random.default_rng(n)
+    d = np.minimum(np.floor(rng.pareto(1.1, n)), 50_000).astype(np.int64)
+    d[0] += int(d.sum() % 2)
+    m = int(d.sum()) // 2
+    assert (delta_random_fast(d, m), delta_triangle_fast(d, m)) == fsum_estimates(d, m)

@@ -30,7 +30,7 @@ from signet.graph import Sign, build_graph, build_sampling_vector
 from signet.io import read_graph, write_canonical
 from signet.learn import ModelParams
 from signet.metrics import compute_eta
-from tests.conftest import power_law_signed_graph
+from tests.conftest import power_law_signed_graph, sign_lookup
 
 # signet/__init__.py rebinds ``signet.generate`` to the function.
 G = importlib.import_module("signet.generate")
@@ -113,8 +113,7 @@ def test_fcl_endpoint_counts_match_expectation():
             totals[u] += 1
             totals[v] += 1
     two_m = len(pi)
-    for v in range(n):
-        d = g.degree(v)
+    for v, d in enumerate(g.degrees()):
         if d == 0:
             assert totals[v] == 0
             continue
@@ -608,8 +607,9 @@ def oracle_generate(g, params, seed, policy):
     """What ``generate`` must do: refuse an input whose non-isolated
     vertices are pairwise adjacent (checked here by brute force), else run
     the tuple-key state."""
-    used = [v for v in range(g.n) if g.adj[v]]
-    if all(g.has_edge(u, v) for u, v in itertools.combinations(used, 2)):
+    used = [v for v, d in enumerate(g.degrees()) if d]
+    sign = sign_lookup(g)
+    if all((u, v) in sign for u, v in itertools.combinations(used, 2)):
         raise StallError("no room")
     return oracle_state_run(g, params, seed, policy)
 

@@ -1,13 +1,57 @@
+import gc
 import math
 import random
+import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signet.errors import DuplicateEdgeError, EmptyGraphError, SelfLoopError
-from signet.graph import Sign, build_graph, build_sampling_vector
+from signet.graph import Sign, build_graph, build_sampling_vector, canonical_pair
+from signet.io import read_graph, write_canonical
+from tests.conftest import power_law_signed_graph
+
+
+def tuple_dict_build_graph(edge_triples, n=None, labels=None):
+    """The per-edge build that the column build replaced, kept as the
+    oracle of its contract: returns (n, edges, adjacency rows, labels)."""
+    edges = []
+    seen = set()
+    max_id = -1
+    for u, v, s in edge_triples:
+        if u < 0 or v < 0:
+            raise ValueError(f"negative vertex id in edge ({u}, {v})")
+        if u == v:
+            raise SelfLoopError(u)
+        pair = canonical_pair(u, v)
+        if pair in seen:
+            raise DuplicateEdgeError(*pair)
+        seen.add(pair)
+        try:
+            sign = {1: Sign.POSITIVE, -1: Sign.NEGATIVE}[s]
+        except (KeyError, TypeError):
+            sign = Sign(s)
+        edges.append((pair[0], pair[1], sign))
+        max_id = max(max_id, pair[1])
+    count = (max_id + 1) if n is None else n
+    if count < max_id + 1:
+        raise ValueError(f"n={count} too small for max vertex id {max_id}")
+    adj = [dict() for _ in range(count)]
+    for u, v, s in edges:
+        adj[u][v] = s
+        adj[v][u] = s
+    rows = [list(a) for a in adj]
+    return count, tuple(edges), rows, tuple(labels) if labels is not None else None
+
+
+def outcome(build, *args, **kwargs):
+    try:
+        return build(*args, **kwargs)
+    except Exception as exc:  # the error is the outcome being compared
+        return type(exc), str(exc)
 
 
 def test_sign_product_rule():
@@ -21,8 +65,9 @@ def test_build_graph_basic():
     assert g.n == 3
     assert g.m == 2
     assert g.m_positive == 1
-    assert g.sign(1, 0) is Sign.POSITIVE
-    assert g.sign(2, 1) is Sign.NEGATIVE
+    assert g.edges == ((0, 1, Sign.POSITIVE), (1, 2, Sign.NEGATIVE))
+    assert g.u.dtype == g.v.dtype == np.int64 and g.sign.dtype == np.int8
+    assert g.sign.tolist() == [1, -1]
 
 
 def test_build_graph_duplicate_after_canonicalization():
@@ -69,7 +114,7 @@ def test_build_graph_sign_validation_equals_sign_constructor(value):
 def test_build_graph_n_override_keeps_isolated_vertices():
     g = build_graph([(0, 1, Sign.POSITIVE)], n=5)
     assert g.n == 5
-    assert g.degree(4) == 0
+    assert g.degrees().tolist() == [1, 1, 0, 0, 0]
 
 
 def test_sampling_vector_path():
@@ -134,7 +179,96 @@ def test_uniform_endpoint_draw_frequencies():
     rng = random.Random(7)
     trials = 100_000
     counts = Counter(pi[rng.randrange(len(pi))] for _ in range(trials))
-    for v in range(g.n):
-        p = g.degree(v) / (2 * g.m)
+    for v, d in enumerate(g.degrees()):
+        p = d / (2 * g.m)
         tol = 4 * math.sqrt(p * (1 - p) / trials)
         assert abs(counts.get(v, 0) / trials - p) <= tol
+
+
+SIGN_VALUES = st.one_of(
+    st.sampled_from([1, -1, Sign.POSITIVE, Sign.NEGATIVE, True, 1.0, -1.0]),
+    st.integers(-2, 2), st.floats(allow_nan=True), st.none(), st.text(max_size=2),
+    st.lists(st.integers(-1, 1), max_size=1),
+)
+
+
+@given(
+    st.lists(st.tuples(st.integers(-1, 7), st.integers(-1, 7), SIGN_VALUES), max_size=12),
+    st.one_of(st.none(), st.integers(0, 10)),
+    st.booleans(),
+)
+@settings(max_examples=500, deadline=None)
+def test_build_graph_equals_tuple_dict_oracle(triples, n, labelled):
+    labels = [f"x{i}" for i in range(20)] if labelled else None
+    expected = outcome(tuple_dict_build_graph, triples, n=n, labels=labels)
+    got = outcome(build_graph, iter(triples), n=n, labels=labels)
+    if isinstance(expected[0], type):
+        assert got == expected
+        return
+    count, edges, rows, kept = expected
+    assert (got.n, got.edges, got.labels) == (count, edges, kept)
+    assert [got.neighbors(a) for a in range(got.n)] == rows
+    assert got.degrees().tolist() == [len(r) for r in rows]
+
+
+@pytest.mark.parametrize("triples, n", [
+    ([(0, 1, 1), (3, 3, 1), (1, 0, 1)], None),  # self-loop before duplicate
+    ([(0, 1, 1), (1, 0, 1), (3, 3, 1)], None),  # duplicate before self-loop
+    ([(0, 1, 2), (-1, 2, 1)], None),  # bad sign on an earlier edge
+    ([(-1, -1, 0)], None),  # negative id checked before the self-loop
+    ([(2, 2, 0)], None),  # self-loop checked before the sign
+    ([(0, 1, 1), (1, 0, 0)], None),  # duplicate checked before the sign
+    ([(4, 1, 1.5)], None),  # a float sign is not truncated
+    ([(0, 9, 1)], 5),
+])
+def test_build_graph_reports_first_offence_like_oracle(triples, n):
+    expected = outcome(tuple_dict_build_graph, triples, n=n)
+    assert isinstance(expected[0], type)
+    assert outcome(build_graph, triples, n=n) == expected
+
+
+def test_build_graph_accepts_any_triple_sequence():
+    g = build_graph([[0, 1, 1], (1, 2, -1)])
+    assert g.edges == ((0, 1, Sign.POSITIVE), (1, 2, Sign.NEGATIVE))
+    with pytest.raises(ValueError):
+        build_graph([(0, 1)])
+    with pytest.raises(TypeError):
+        build_graph([(0, 1.0, 1)])
+
+
+def test_rows_keep_edge_order():
+    g = build_graph([(3, 1, 1), (0, 3, -1), (2, 3, 1), (1, 0, 1)])
+    assert [g.neighbors(a) for a in range(4)] == [[3, 1], [3, 0], [3], [1, 0, 2]]
+    assert g.neighbors(3) == [1, 0, 2]
+
+
+@pytest.fixture(scope="module")
+def written_20k(tmp_path_factory):
+    g = power_law_signed_graph(6000, 20000, seed=21, gamma=2.5)
+    path = tmp_path_factory.mktemp("mem") / "g.tsv"
+    write_canonical(g, path)
+    return g, path
+
+
+def test_read_graph_retains_at_most_64_bytes_per_edge(written_20k):
+    g, path = written_20k
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        read = read_graph(path)
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert read.m == g.m > 19_000
+    assert retained <= 64 * read.m
+
+
+def test_build_graph_adds_no_tracked_object_per_edge(written_20k):
+    g, _ = written_20k
+    triples = list(g.edges)
+    gc.collect()
+    before = len(gc.get_objects())
+    built = build_graph(triples, n=g.n)
+    added = len(gc.get_objects()) - before
+    assert built.m == g.m
+    assert added <= 10

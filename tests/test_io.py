@@ -72,8 +72,8 @@ def test_ingest_fuzz_never_violates_graph_invariants(rows):
     assert len(pairs) == g.m
     for u, v, s in g.edges:
         assert u < v
-        assert g.adj[u][v] is s
-        assert g.adj[v][u] is s
+        assert s is Sign.POSITIVE or s is Sign.NEGATIVE
+        assert u in g.neighbors(v) and v in g.neighbors(u)
 
 
 def test_canonical_round_trip(tmp_path):
@@ -99,7 +99,9 @@ def test_read_canonical_triangle_fixture(tmp_path):
     path.write_text("# a signed triangle\n0\t1\t+1\n1\t2\t-1\n0\t2\t-1\n")
     g = read_canonical(path)
     assert g.m == 3
-    assert g.sign(1, 2) is Sign.NEGATIVE
+    assert g.edges == (
+        (0, 1, Sign.POSITIVE), (1, 2, Sign.NEGATIVE), (0, 2, Sign.NEGATIVE)
+    )
 
 
 def test_read_graph_autodetects_rating_csv(tmp_path):

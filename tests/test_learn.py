@@ -1,12 +1,17 @@
+import itertools
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signet import learn, metrics
 from signet.errors import EmptyGraphError, RhoAtOneError
 from signet.estimators import TriangleEstimates
 from signet.graph import Sign, build_graph
 from signet.learn import (
+    CLAMP_EPS,
     RHO_EPS,
     LearnConfig,
     ModelParams,
@@ -218,11 +223,12 @@ def em_learn_rho_oracle(g, cfg):
     s = cfg.sample_size(g.m)
     rho = cfg.rho_init
     trace = []
+    edges = g.edges
     for it in range(cfg.em_max_iters):
         sample = rng.sample(range(g.m), s) if s < g.m else range(g.m)
         total = 0.0
         for idx in sample:
-            u, v, _ = g.edges[idx]
+            u, v, _ = edges[idx]
             if rng.random() < 0.5:
                 u, v = v, u
             total += em_edge_responsibility(g, u, v, rho)
@@ -275,13 +281,14 @@ def test_em_equals_per_edge_oracle_bit_for_bit(name, sample, seed, monkeypatch):
 
 def test_wedge_likelihoods_equal_scalar_walk():
     g = power_law_signed_graph(150, 700, seed=9, gamma=2.1)
-    wedge = learn.wedge_likelihoods(metrics.EdgeArrays.of(g))
+    wedge = learn.wedge_likelihoods(g)
+    rows = [g.neighbors(a) for a in range(g.n)]
     for e, (u, v, _) in enumerate(g.edges):
         for slot, (i, j) in ((2 * e, (u, v)), (2 * e + 1, (v, u))):
             walk = 0.0
-            for k in g.adj[i]:
-                if k in g.adj[j]:
-                    walk += 1.0 / (g.degree(i) * g.degree(k))
+            for k in rows[i]:
+                if k in rows[j]:
+                    walk += 1.0 / (len(rows[i]) * len(rows[k]))
             assert wedge[slot] == walk
 
 
@@ -290,3 +297,50 @@ def test_learned_parameters_are_python_floats():
     params = learn_parameters(g, LearnConfig(seed=1))
     for value in (params.rho, params.alpha, params.beta, params.eta, params.delta_b):
         assert type(value) is float
+
+
+@st.composite
+def small_signed_graphs(draw):
+    """Any signed graph on 3-10 vertices with at least two edges, often
+    complete: dense graphs with a lopsided sign split are the ones whose
+    raw alpha leaves [0, 1]."""
+    n = draw(st.integers(3, 10))
+    every = list(itertools.combinations(range(n), 2))
+    if draw(st.booleans()):
+        pairs = every
+    else:
+        pairs = draw(st.lists(st.sampled_from(every), min_size=2, unique=True))
+    majority = draw(st.sampled_from([1, -1]))
+    minority = draw(st.sets(st.integers(0, len(pairs) - 1), max_size=len(pairs) // 2))
+    return build_graph(
+        [(u, v, -majority if e in minority else majority) for e, (u, v) in enumerate(pairs)],
+        n=n,
+    )
+
+
+@given(small_signed_graphs(), st.integers(0, 5))
+@settings(max_examples=150, deadline=None)
+def test_learned_parameters_in_unit_interval_and_every_clamp_warned(g, seed):
+    # Each closed-form update's raw value, recomputed by its formula; every
+    # one outside [-CLAMP_EPS, 1 + CLAMP_EPS] must leave a warning naming it.
+    expected = []
+
+    def note(name, raw):
+        if not -CLAMP_EPS <= raw <= 1.0 + CLAMP_EPS:
+            expected.append(f"{name}={raw:.4f} clamped to [0, 1]")
+
+    def beta_spy(delta_b, est, warnings=None):
+        note("beta", (delta_b * (est.delta_triangle + est.delta_random)
+                      - est.delta_random_balanced) / est.delta_triangle)
+        return update_beta(delta_b, est, warnings)
+
+    def alpha_spy(eta, rho, beta, warnings=None):
+        note("alpha", (eta - rho * eta_triangle(eta, beta)) / (1.0 - rho))
+        return update_alpha(eta, rho, beta, warnings)
+
+    with mock.patch.object(learn, "update_beta", beta_spy), \
+            mock.patch.object(learn, "update_alpha", alpha_spy):
+        params = learn_parameters(g, LearnConfig(seed=seed))
+    for value in (params.rho, params.alpha, params.beta):
+        assert 0.0 <= value <= 1.0
+    assert [w for w in params.warnings if "clamped" in w] == expected
