@@ -1,17 +1,17 @@
-"""Balanced signed Chung-Lu modeling toolkit for signed networks."""
+"""Balanced signed Chung-Lu modeling toolkit for signed networks.
+
+``generate`` and ``evaluate`` are submodules; their functions of the same
+name are imported from them (``from signet.generate import generate``).
+"""
 
 from .baseline import analytic_triangle_distribution, stcl_generate
-from .evaluate import evaluate
-from .generate import generate
 from .graph import Sign, SignedGraph, build_graph, build_sampling_vector
 from .io import ingest_ratings, read_canonical, read_graph, write_canonical
 from .learn import LearnConfig, ModelParams, learn_parameters
 from .metrics import (
     GraphStats,
     TriangleCensus,
-    balanced_fraction,
     compute_eta,
-    local_clustering,
     stats_report,
     triangle_census,
 )
@@ -28,15 +28,11 @@ __all__ = [
     "GraphStats",
     "TriangleCensus",
     "compute_eta",
-    "balanced_fraction",
-    "local_clustering",
     "stats_report",
     "triangle_census",
     "LearnConfig",
     "ModelParams",
     "learn_parameters",
-    "generate",
-    "evaluate",
     "stcl_generate",
     "analytic_triangle_distribution",
 ]

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .generate import SIGN_POLICY_IID, generate
+from .generate import _generate
 from .graph import SignedGraph
 from .learn import ModelParams
 
@@ -44,10 +44,15 @@ def analytic_triangle_distribution(eta: float) -> BaselineTriangleExpectation:
     )
 
 
+def stcl_params(g_input: SignedGraph, rho: float) -> ModelParams:
+    """STCL's parameters: wedge closures at rate ``rho``, and every sign
+    positive with the input's probability eta (alpha = eta, beta = 0)."""
+    eta = g_input.m_positive / g_input.m
+    return ModelParams(rho=rho, alpha=eta, beta=0.0, eta=eta, delta_b=0.0)
+
+
 def stcl_generate(g_input: SignedGraph, rho: float, seed: int) -> SignedGraph:
     """Generate with wedge closures for topology but signs drawn i.i.d.
     positive with probability eta, ignoring balance entirely.
     """
-    eta = g_input.m_positive / g_input.m
-    params = ModelParams(rho=rho, alpha=eta, beta=0.0, eta=eta, delta_b=0.0)
-    return generate(g_input, params, seed, sign_policy=SIGN_POLICY_IID)
+    return _generate(g_input, stcl_params(g_input, rho), seed, balance=False)

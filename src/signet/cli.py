@@ -8,12 +8,13 @@ import json
 import os
 import sys
 from collections import defaultdict
+from functools import partial
 
 import click
 import numpy as np
 
 from . import baseline as baseline_mod
-from .errors import SignetError
+from .errors import ParseError, SignetError
 from .evaluate import evaluate as run_evaluate
 from .generate import generate as run_generate
 from .io import read_graph, write_canonical
@@ -122,15 +123,35 @@ def learn(input_path, out_path, seed, em_samples, em_iters):
     )
 
 
-def _generate_runs(g, params, runs, seed, out_dir, policy="balance"):
+def _read_params(path) -> ModelParams:
+    """Load a params.json; a file that is not JSON, or lacks a number for
+    one of the model's parameters, is a ParseError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ParseError(
+                getattr(exc, "lineno", 0), f"{path} is not JSON: {getattr(exc, 'msg', exc)}"
+            ) from exc
+    for key in ("rho", "alpha", "beta", "eta", "delta_b"):
+        value = data.get(key) if isinstance(data, dict) else None
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ParseError(0, f"{path} needs a number for {key!r}, not {value!r}")
+    return ModelParams.from_dict(data)
+
+
+def _generate_runs(g, params, runs, seed, out_dir, policy):
+    if policy == "iid":
+        # The manifests record what STCL runs with, not the learned alpha, beta.
+        params = baseline_mod.stcl_params(g, params.rho)
+        make = partial(baseline_mod.stcl_generate, g, params.rho)
+    else:
+        make = partial(run_generate, g, params)
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for r in range(runs):
         run_seed = seed + r
-        if policy == "iid":
-            g_out = baseline_mod.stcl_generate(g, params.rho, run_seed)
-        else:
-            g_out = run_generate(g, params, run_seed)
+        g_out = make(run_seed)
         path = os.path.join(out_dir, f"generated_{r:03d}.tsv")
         write_canonical(g_out, path)
         _write_json(
@@ -159,8 +180,7 @@ def _generate_runs(g, params, runs, seed, out_dir, policy="balance"):
 def generate(input_path, params_path, runs, seed, outdir, policy):
     """Generate R synthetic networks; run r uses seed S+r."""
     g = read_graph(input_path)
-    with open(params_path, "r", encoding="utf-8") as fh:
-        params = ModelParams.from_dict(json.load(fh))
+    params = _read_params(params_path)
     paths = _generate_runs(g, params, runs, seed, outdir, policy)
     click.echo(f"wrote {len(paths)} networks to {outdir}")
 

@@ -21,10 +21,6 @@ class EmptyGraphError(SignetError):
     pass
 
 
-class NoTrianglesError(SignetError):
-    pass
-
-
 class ParseError(SignetError):
     def __init__(self, line_no, reason):
         super().__init__(f"line {line_no}: {reason}")

@@ -7,21 +7,11 @@ in the tests as oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateDegreesError
-
-
-@dataclass(frozen=True)
-class TriangleEstimates:
-    """Expected triangles per inserted edge, graph-averaged."""
-
-    delta_random: float
-    delta_random_balanced: float
-    delta_triangle: float
 
 
 def suffix_degree_sums(degrees: Sequence[int]) -> np.ndarray:

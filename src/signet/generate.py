@@ -3,8 +3,11 @@
 Starts from a fast Chung-Lu edge set over the input's sampling vector,
 splits it by the target sign fraction, then replaces every edge through M
 insert/evict rounds that mix two-hop wedge closures (balance-driven signs)
-with random insertions (sign-corrected by alpha). Collisions park their
-vertices on a FIFO queue that is drained before new sampling-vector draws.
+with random insertions (positive with probability alpha). Collisions park
+their vertices on a FIFO queue that is drained before new sampling-vector
+draws. The STCL baseline (``baseline.stcl_generate``) runs the same rounds
+with ``balance`` off: a wedge closure's sign is then drawn like a random
+insertion's, and that is the only place the two models differ.
 
 The state holds plain ints only: a sign is +1 or -1, as in the output
 graph's sign column. The M live edges sit in a fixed ring of slots, edge
@@ -40,12 +43,6 @@ from .learn import ModelParams
 STEP_RETRY_BUDGET = 100
 WEDGE_WALK_RETRIES = 10
 
-# Sign policies: "balance" follows the wedge-closure balance rules;
-# "iid" assigns every inserted edge positive with probability eta
-# (the STCL baseline behavior).
-SIGN_POLICY_BALANCE = "balance"
-SIGN_POLICY_IID = "iid"
-
 
 @dataclass
 class GenerationState:
@@ -55,9 +52,9 @@ class GenerationState:
     rho: float
     alpha: float
     beta: float
-    eta: float
     rng: random.Random
-    sign_policy: str = SIGN_POLICY_BALANCE
+    # Off for STCL: wedge closures ignore balance (see the module docstring).
+    balance: bool = True
     # The ring of live edges (see the module docstring).
     eu: list[int] = field(init=False, default_factory=list)
     ev: list[int] = field(init=False, default_factory=list)
@@ -120,7 +117,6 @@ def fcl_initialize(
     rho: float = 0.0,
     alpha: float = 0.0,
     beta: float = 0.0,
-    sign_policy: str = SIGN_POLICY_BALANCE,
 ) -> GenerationState:
     """Sample M distinct edges by independent endpoint pairs from pi, then
     make exactly round(eta * M) of them positive (uniform placement).
@@ -129,8 +125,7 @@ def fcl_initialize(
         raise StallError("empty sampling vector")
     count = n if n is not None else (max(pi) + 1)
     state = GenerationState(
-        n=count, pi=pi, target_m=m, rho=rho, alpha=alpha, beta=beta,
-        eta=eta, rng=rng, sign_policy=sign_policy,
+        n=count, pi=pi, target_m=m, rho=rho, alpha=alpha, beta=beta, rng=rng,
     )
     adj, eu, ev = state.adj, state.eu, state.ev
     budget = 100 * m
@@ -190,10 +185,6 @@ def _walk(state: GenerationState, v_i: int) -> Optional[tuple[int, int]]:
     return v_k, state.rng.choice(state.nbrs[v_k])
 
 
-def _iid_sign(state: GenerationState) -> int:
-    return 1 if state.rng.random() < state.eta else -1
-
-
 def generation_step(state: GenerationState) -> None:
     """One insert/evict round; eviction happens only after a successful
     insertion so the live edge count stays exactly M.
@@ -219,11 +210,11 @@ def generation_step(state: GenerationState) -> None:
                 state.park(v_j, False)
                 walk_failures += 1
             else:
-                if state.sign_policy == SIGN_POLICY_IID:
-                    sign = _iid_sign(state)
-                else:
+                if state.balance:
                     balanced = rng.random() < state.beta
                     sign = choose_wedge_sign(state, v_i, v_j, balanced, state.alpha)
+                else:
+                    sign = 1 if rng.random() < state.alpha else -1
                 state.replace_oldest(v_i, v_j, sign)
                 state.steps_done += 1
                 return
@@ -238,10 +229,7 @@ def generation_step(state: GenerationState) -> None:
             state.park(v_i, i_queued)
             state.park(v_j, j_queued)
             continue
-        if state.sign_policy == SIGN_POLICY_IID:
-            sign = _iid_sign(state)
-        else:
-            sign = 1 if rng.random() < state.alpha else -1
+        sign = 1 if rng.random() < state.alpha else -1
         state.replace_oldest(v_i, v_j, sign)
         state.steps_done += 1
         return
@@ -271,21 +259,23 @@ def _require_room(g_input: SignedGraph) -> None:
         )
 
 
-def generate(
-    g_input: SignedGraph,
-    params: ModelParams,
-    seed: int,
-    sign_policy: str = SIGN_POLICY_BALANCE,
-) -> SignedGraph:
+def generate(g_input: SignedGraph, params: ModelParams, seed: int) -> SignedGraph:
     """Generate a synthetic signed network with the input's size and
     sampling vector. Deterministic for a fixed (input, params, seed).
     """
+    return _generate(g_input, params, seed, balance=True)
+
+
+def _generate(
+    g_input: SignedGraph, params: ModelParams, seed: int, balance: bool
+) -> SignedGraph:
+    """The body of ``generate`` and ``baseline.stcl_generate``."""
     rng = random.Random(seed)
     pi = build_sampling_vector(g_input)
     _require_room(g_input)
     state = fcl_initialize(
         pi, g_input.m, params.eta, rng, n=g_input.n,
         rho=params.rho, alpha=params.alpha, beta=params.beta,
-        sign_policy=sign_policy,
     )
+    state.balance = balance
     return _run(state)

@@ -28,10 +28,6 @@ class Sign(enum.IntEnum):
     POSITIVE = 1
     NEGATIVE = -1
 
-    @property
-    def symbol(self) -> str:
-        return "+" if self is Sign.POSITIVE else "-"
-
 
 def canonical_pair(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)

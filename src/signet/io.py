@@ -30,7 +30,6 @@ class RawRating:
     source: object
     target: object
     weight: float
-    timestamp: Optional[int] = None
 
 
 def ingest_ratings(rows: Iterable[RawRating]) -> SignedGraph:
@@ -82,10 +81,11 @@ def parse_rating_lines(lines: Iterable[str]) -> list[RawRating]:
             raise MalformedRowError(no, f"expected 3 or 4 columns, got {len(parts)}")
         try:
             weight = float(parts[2])
-            ts = int(float(parts[3])) if len(parts) == 4 else None
+            if len(parts) == 4:
+                float(parts[3])  # a time: it must be numeric, but is unused
         except ValueError as exc:
             raise MalformedRowError(no, str(exc)) from exc
-        rows.append(RawRating(parts[0], parts[1], weight, ts))
+        rows.append(RawRating(parts[0], parts[1], weight))
     return rows
 
 
@@ -132,19 +132,17 @@ def write_canonical(g: SignedGraph, path: str | os.PathLike) -> None:
 
 
 def read_graph(path: str | os.PathLike) -> SignedGraph:
-    """Read a graph from either supported format (detected by column count)."""
+    """Read a graph from either supported format (detected by column count
+    of the first data line). Only that line is read before the format's own
+    reader parses the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    first = None
-    for line in lines:
-        text = line.split("#", 1)[0].strip()
-        if text:
-            first = text
-            break
-    if first is None:
-        raise ParseError(0, "no data lines in file")
-    if len(_split(first)) == 4:
-        return ingest_ratings(parse_rating_lines(lines))
+        texts = (line.split("#", 1)[0].strip() for line in fh)
+        first = next((text for text in texts if text), None)
+        if first is None:
+            raise ParseError(0, "no data lines in file")
+        if len(_split(first)) == 4:
+            fh.seek(0)
+            return ingest_ratings(parse_rating_lines(fh))
     return read_canonical(path)
 
 

@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import EmptyGraphError, RhoAtOneError
 from .estimators import (
-    TriangleEstimates,
     delta_random_balanced,
     delta_random_fast,
     delta_triangle_fast,
@@ -30,6 +29,9 @@ from .metrics import compute_eta, list_triangles, triangle_census
 log = logging.getLogger(__name__)
 
 RHO_EPS = 1e-6
+RHO_INIT = 0.5  # EM's starting rho
+AB_MAX_ITERS = 100  # cap and tolerance of the alpha/beta alternation
+AB_TOL = 1e-6
 # Closed-form values within CLAMP_EPS of [0, 1] are clamped without a
 # warning. Besides float noise, this covers alpha's shift when rho sits on
 # its floor: a triangle-free all-positive input gives alpha = 1/(1 - RHO_EPS).
@@ -42,9 +44,6 @@ class LearnConfig:
     em_sample_size: Optional[int] = None  # defaults to min(M, 5000)
     em_max_iters: int = 50
     em_tol: float = 1e-4
-    ab_max_iters: int = 100
-    ab_tol: float = 1e-6
-    rho_init: float = 0.5
     seed: int = 42
 
     def sample_size(self, m: int) -> int:
@@ -180,7 +179,7 @@ def em_learn_rho(g: SignedGraph, cfg: LearnConfig) -> tuple[float, list[dict]]:
     deg = g.degrees()
     far = np.stack([deg[g.v], deg[g.u]], axis=1)
     random_lik = far.ravel() / (2.0 * g.m)
-    rho = cfg.rho_init
+    rho = RHO_INIT
     trace = []
     for it in range(cfg.em_max_iters):
         idx = np.array(rng.sample(range(g.m), s)) if s < g.m else np.arange(g.m)
@@ -201,13 +200,17 @@ def em_learn_rho(g: SignedGraph, cfg: LearnConfig) -> tuple[float, list[dict]]:
 
 
 def update_beta(
-    delta_b: float, est: TriangleEstimates, warnings: Optional[list] = None
+    delta_b: float,
+    delta_random: float,
+    delta_random_balanced: float,
+    delta_triangle: float,
+    warnings: Optional[list] = None,
 ) -> float:
-    """Closed-form balance parameter given the triangle estimates."""
+    """Closed-form balance parameter given the expected triangles per
+    random insertion (all and balanced) and per wedge closure."""
     raw = (
-        delta_b * (est.delta_triangle + est.delta_random)
-        - est.delta_random_balanced
-    ) / est.delta_triangle
+        delta_b * (delta_triangle + delta_random) - delta_random_balanced
+    ) / delta_triangle
     if not -CLAMP_EPS <= raw <= 1.0 + CLAMP_EPS:
         msg = f"beta={raw:.4f} clamped to [0, 1]"
         log.warning(msg)
@@ -246,10 +249,8 @@ def learn_parameters(g: SignedGraph, cfg: Optional[LearnConfig] = None) -> Model
     warnings: list[str] = []
     eta = compute_eta(g)
     census = triangle_census(g)
-    if census.total > 0:
-        delta_b = census.balanced / census.total
-    else:
-        delta_b = 0.0
+    delta_b = census.delta_b
+    if census.total == 0:
         msg = "input graph has no triangles; delta_b set to 0"
         log.warning(msg)
         warnings.append(msg)
@@ -262,21 +263,16 @@ def learn_parameters(g: SignedGraph, cfg: Optional[LearnConfig] = None) -> Model
 
     alpha, beta = eta, delta_b
     ab_trace = []
-    for it in range(cfg.ab_max_iters):
+    for it in range(AB_MAX_ITERS):
         drb = delta_random_balanced(dr, eta, alpha)
-        est = TriangleEstimates(
-            delta_random=dr,
-            delta_random_balanced=drb,
-            delta_triangle=dt,
-        )
-        new_beta = update_beta(delta_b, est, warnings)
+        new_beta = update_beta(delta_b, dr, drb, dt, warnings)
         new_alpha = update_alpha(eta, rho, new_beta, warnings)
         move = max(abs(new_alpha - alpha), abs(new_beta - beta))
         ab_trace.append(
             {"iteration": it, "alpha": new_alpha, "beta": new_beta, "delta": move}
         )
         alpha, beta = new_alpha, new_beta
-        if move < cfg.ab_tol:
+        if move < AB_TOL:
             break
 
     return ModelParams(

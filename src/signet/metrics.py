@@ -2,7 +2,7 @@
 
 Covers the sign ratio, the full signed triangle census (with per-vertex
 triangle counts feeding local clustering), the balanced-triangle fraction
-and the degree histogram.
+Δ_B and the degree histogram.
 
 Triangles come from one vectorised listing (``list_triangles``) over the
 graph's edge columns; the census here and the EM wedge likelihoods in
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyGraphError, NoTrianglesError
+from .errors import EmptyGraphError
 from .graph import SignedGraph
 
 TRIANGLE_TYPES = ("+++", "++-", "+--", "---")
@@ -41,6 +41,11 @@ class TriangleCensus:
     def balanced(self) -> int:
         # Even number of negative edges.
         return self.ppp + self.pmm
+
+    @property
+    def delta_b(self) -> float:
+        """Balanced fraction of the triangles; 0.0 when there are none."""
+        return self.balanced / self.total if self.total > 0 else 0.0
 
     def as_counts(self) -> dict[str, int]:
         return dict(zip(TRIANGLE_TYPES, (self.ppp, self.ppm, self.pmm, self.mmm)))
@@ -153,43 +158,24 @@ def triangle_census(g: SignedGraph, per_vertex: list[int] | None = None) -> Tria
     return TriangleCensus(ppp=counts[0], ppm=counts[1], pmm=counts[2], mmm=counts[3])
 
 
-def balanced_fraction(census: TriangleCensus) -> float:
-    """Fraction of triangles with an even number of negative edges."""
-    if census.total == 0:
-        raise NoTrianglesError("balanced fraction undefined without triangles")
-    return census.balanced / census.total
-
-
-def local_clustering(g: SignedGraph) -> list[float]:
-    """Per-vertex clustering c_i = 2 T_i / (d_i (d_i - 1)); 0 when d_i < 2."""
-    per_vertex = [0] * g.n
-    triangle_census(g, per_vertex=per_vertex)
-    return _clustering(per_vertex, g.degrees())
-
-
-def _clustering(per_vertex: list[int], d: np.ndarray) -> list[float]:
-    coeffs = np.zeros(len(d))
-    np.divide(
-        2.0 * np.asarray(per_vertex, dtype=np.int64), d * (d - 1),
-        out=coeffs, where=d >= 2,
-    )
-    return coeffs.tolist()
-
-
 def stats_report(g: SignedGraph) -> GraphStats:
-    """All measured properties in one pass-friendly bundle."""
+    """All measured properties from one triangle listing. ``clustering``
+    is each vertex's c_i = 2 T_i / (d_i (d_i - 1)), 0 when d_i < 2."""
     per_vertex = [0] * g.n
     census = triangle_census(g, per_vertex=per_vertex)
     d = g.degrees()
-    clustering = tuple(_clustering(per_vertex, d))
+    clustering = np.zeros(g.n)
+    np.divide(
+        2.0 * np.asarray(per_vertex, dtype=np.int64), d * (d - 1),
+        out=clustering, where=d >= 2,
+    )
     degrees = d.tolist()
-    delta_b = census.balanced / census.total if census.total > 0 else 0.0
     return GraphStats(
         eta=compute_eta(g),
-        delta_b=delta_b,
+        delta_b=census.delta_b,
         degrees=tuple(degrees),
         census=census,
-        clustering=clustering,
+        clustering=tuple(clustering.tolist()),
         degree_histogram=dict(Counter(degrees)),
         n=g.n,
         m=g.m,

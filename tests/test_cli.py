@@ -6,7 +6,7 @@ from click.testing import CliRunner
 
 from signet.cli import main
 from signet.graph import Sign
-from signet.io import write_canonical
+from signet.io import read_graph, write_canonical
 from tests.conftest import power_law_signed_graph
 
 
@@ -167,3 +167,49 @@ def test_generate_on_complete_input_is_one_line_error(runner, tmp_path):
     errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
     assert len(errors) == 1
     assert "k=5" in errors[0] and "M=10" in errors[0]
+
+
+def test_generate_iid_manifest_records_stcl_params(runner, network_file, tmp_path):
+    # STCL runs with alpha = eta and beta = 0, whatever params.json learned.
+    params_path = tmp_path / "params.json"
+    runner.invoke(main, ["learn", network_file, "--out", str(params_path)])
+    learned = json.loads(params_path.read_text())
+    gen_dir = tmp_path / "gen"
+    result = runner.invoke(main, [
+        "generate", network_file, "--params", str(params_path), "--runs", "2",
+        "--outdir", str(gen_dir), "--policy", "iid",
+    ])
+    assert result.exit_code == 0, result.output
+    g = read_graph(network_file)
+    eta = g.m_positive / g.m
+    for r in range(2):
+        manifest = json.loads((gen_dir / f"manifest_{r:03d}.json").read_text())
+        assert manifest["policy"] == "iid"
+        assert manifest["params"] == {
+            "rho": learned["rho"], "alpha": eta, "beta": 0.0, "eta": eta,
+            "delta_b": 0.0, "warnings": [],
+        }
+    assert learned["alpha"] != eta
+
+
+@pytest.mark.parametrize("text, reason", [
+    ('{"rho": 0.5,', "is not JSON"),
+    ("\xff", "is not JSON"),
+    ('{"rho": 0.5, "alpha": 0.5, "beta": 0.5, "eta": 0.8}', "'delta_b'"),
+    ('{"rho": "0.5", "alpha": 0.5, "beta": 0.5, "eta": 0.8, "delta_b": 1}', "'rho'"),
+    ("[0.5]", "'rho'"),
+], ids=["truncated", "not-utf8", "missing-key", "string-value", "not-an-object"])
+def test_generate_malformed_params_is_one_line_error(runner, network_file, tmp_path,
+                                                      text, reason):
+    params = tmp_path / "params.json"
+    params.write_text(text, encoding="latin-1")
+    result = runner.invoke(main, [
+        "generate", network_file, "--params", str(params), "--runs", "1",
+        "--outdir", str(tmp_path / "gen"),
+    ])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1
+    assert reason in errors[0]

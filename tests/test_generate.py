@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from signet.baseline import stcl_generate
 from signet.errors import (
     NoCommonNeighborError,
     RetryExhaustedError,
@@ -17,8 +18,6 @@ from signet.errors import (
     StallError,
 )
 from signet.generate import (
-    SIGN_POLICY_BALANCE,
-    SIGN_POLICY_IID,
     GenerationState,
     _walk,
     choose_wedge_sign,
@@ -32,12 +31,23 @@ from signet.learn import ModelParams
 from signet.metrics import compute_eta
 from tests.conftest import power_law_signed_graph, sign_lookup
 
-# signet/__init__.py rebinds ``signet.generate`` to the function.
 G = importlib.import_module("signet.generate")
+
+# The two sign models: BSCL's balance-aware signs (``generate``) and the
+# STCL baseline's i.i.d. signs (``stcl_generate``).
+BALANCE, IID = "balance", "iid"
+POLICIES = [BALANCE, IID]
 
 
 def make_params(rho=0.3, alpha=0.8, beta=0.9, eta=0.85):
     return ModelParams(rho=rho, alpha=alpha, beta=beta, eta=eta, delta_b=0.8)
+
+
+def run_policy(g, params, seed, policy):
+    """``generate`` for BALANCE; ``stcl_generate`` at params.rho for IID."""
+    if policy == BALANCE:
+        return generate(g, params, seed=seed)
+    return stcl_generate(g, params.rho, seed)
 
 
 def live(state):
@@ -127,7 +137,7 @@ def test_fcl_endpoint_counts_match_expectation():
 def wedge_state(edges, n, rho=0.0, alpha=0.5, beta=1.0):
     state = GenerationState(
         n=n, pi=[], target_m=len(edges), rho=rho, alpha=alpha, beta=beta,
-        eta=0.5, rng=random.Random(0),
+        rng=random.Random(0),
     )
     for u, v, s in edges:
         state.eu.append(u)
@@ -351,8 +361,7 @@ def test_generate_degree_preservation():
 def test_generate_iid_policy_sign_rate():
     g = power_law_signed_graph(300, 1200, seed=10, eta=0.9)
     eta = compute_eta(g)
-    params = ModelParams(rho=0.3, alpha=eta, beta=0.0, eta=eta, delta_b=0.0)
-    out = generate(g, params, seed=5, sign_policy=SIGN_POLICY_IID)
+    out = stcl_generate(g, 0.3, seed=5)
     frac = out.m_positive / out.m
     assert abs(frac - eta) < 4 * math.sqrt(eta * (1 - eta) / out.m)
 
@@ -404,7 +413,7 @@ ORACLE_GRAPHS = {
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
-@pytest.mark.parametrize("policy", [SIGN_POLICY_BALANCE, SIGN_POLICY_IID])
+@pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_generate_equals_list_copy_oracles(name, policy, seed, monkeypatch):
     g = ORACLE_GRAPHS[name]()
@@ -412,7 +421,7 @@ def test_generate_equals_list_copy_oracles(name, policy, seed, monkeypatch):
 
     def outcome():
         try:
-            return generate(g, params, seed=seed, sign_policy=policy).edges
+            return run_policy(g, params, seed, policy).edges
         except SignetError as exc:
             return repr(exc)
 
@@ -483,6 +492,8 @@ class TupleKeyState:
     and FIFO rows appended on every insert, FCL included."""
 
     def __init__(self, n, pi, target_m, rho, alpha, beta, eta, rng, sign_policy):
+        # sign_policy IID draws every inserted edge's sign positive with
+        # probability eta; BALANCE follows the wedge-closure balance rules.
         self.n, self.pi, self.target_m = n, pi, target_m
         self.rho, self.alpha, self.beta, self.eta = rho, alpha, beta, eta
         self.rng, self.sign_policy = rng, sign_policy
@@ -541,7 +552,7 @@ def oracle_step(state):
     rng = state.rng
 
     def sign_of_new_edge(wedge, v_i, v_j):
-        if state.sign_policy == SIGN_POLICY_IID:
+        if state.sign_policy == IID:
             return Sign.POSITIVE if rng.random() < state.eta else Sign.NEGATIVE
         if wedge:
             balanced = rng.random() < state.beta
@@ -593,7 +604,12 @@ def oracle_step(state):
 
 
 def oracle_state_run(g, params, seed, policy):
-    """FCL plus M rounds on the tuple-key state; returns the output rows."""
+    """FCL plus M rounds on the tuple-key state; returns the output rows.
+    IID is STCL, which keeps only rho and takes eta from the input."""
+    if policy == IID:
+        params = ModelParams(
+            rho=params.rho, alpha=0.0, beta=0.0, eta=compute_eta(g), delta_b=0.0
+        )
     state = oracle_fcl(
         build_sampling_vector(g), g.m, params.eta, random.Random(seed), g.n,
         params.rho, params.alpha, params.beta, policy,
@@ -631,30 +647,26 @@ def outcome(run):
 
 
 @pytest.mark.parametrize("name", sorted(STATE_ORACLE_GRAPHS))
-@pytest.mark.parametrize("policy", [SIGN_POLICY_BALANCE, SIGN_POLICY_IID])
+@pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_generate_equals_tuple_key_state_oracle(name, policy, seed):
     g = STATE_ORACLE_GRAPHS[name]()
     params = make_params(rho=0.6)
-    rows = outcome(lambda: generate(g, params, seed=seed, sign_policy=policy).edges)
+    rows = outcome(lambda: run_policy(g, params, seed, policy).edges)
     assert rows == outcome(lambda: oracle_generate(g, params, seed, policy))
     assert (rows is StallError) == (name == "k3")
 
 
-def test_ring_runs_out_of_retries_like_tuple_key_state():
+def test_ring_runs_out_of_retries_like_tuple_key_state(monkeypatch):
     # Past the room check, a complete input exhausts a step's retries in
     # both states, at the same step and with the same message.
+    monkeypatch.setattr(G, "_require_room", lambda g_input: None)
     g = ORACLE_GRAPHS["k3"]()
     params = make_params(rho=0.6)
     for seed in (0, 1, 7):
-        for policy in (SIGN_POLICY_BALANCE, SIGN_POLICY_IID):
-            state = fcl_initialize(
-                build_sampling_vector(g), g.m, params.eta, random.Random(seed),
-                n=g.n, rho=params.rho, alpha=params.alpha, beta=params.beta,
-                sign_policy=policy,
-            )
+        for policy in POLICIES:
             with pytest.raises(RetryExhaustedError) as ring:
-                G._run(state)
+                run_policy(g, params, seed, policy)
             with pytest.raises(RetryExhaustedError) as tuple_key:
                 oracle_state_run(g, params, seed, policy)
             assert str(ring.value) == str(tuple_key.value)
@@ -709,13 +721,13 @@ unit = st.floats(0.0, 1.0)
 
 @given(
     small_graphs(), unit, unit, unit, unit, st.integers(0, 2**32 - 1),
-    st.sampled_from([SIGN_POLICY_BALANCE, SIGN_POLICY_IID]),
+    st.sampled_from(POLICIES),
 )
 @settings(max_examples=150, deadline=None)
 def test_generated_graph_invariants(g, rho, alpha, beta, eta, seed, policy):
     params = ModelParams(rho=rho, alpha=alpha, beta=beta, eta=eta, delta_b=0.5)
     try:
-        out = generate(g, params, seed=seed, sign_policy=policy)
+        out = run_policy(g, params, seed, policy)
     except SignetError:
         return  # dense inputs may leave no room; the error is typed
     assert out.n == g.n

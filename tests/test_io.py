@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -14,6 +15,7 @@ from signet.io import (
     read_graph,
     write_canonical,
 )
+from tests.conftest import power_law_signed_graph
 
 
 def test_ingest_directed_pair_sums_to_positive():
@@ -121,3 +123,42 @@ def test_parse_rating_lines_malformed():
 def test_parse_rating_lines_column_count():
     with pytest.raises(MalformedRowError):
         parse_rating_lines(["1 2 3 4 5"])
+
+
+def test_parse_rating_lines_keeps_no_time():
+    assert parse_rating_lines(["1,2,3,1289241911", "2 3 -1"]) == [
+        RawRating("1", "2", 3.0), RawRating("2", "3", -1.0),
+    ]
+
+
+def test_parse_rating_lines_non_numeric_time():
+    with pytest.raises(MalformedRowError) as err:
+        parse_rating_lines(["1,2,3,100", "1,3,1,noon"])
+    assert err.value.line_no == 2
+
+
+def test_read_graph_rating_rows_keep_line_numbers(tmp_path):
+    path = tmp_path / "ratings.csv"
+    path.write_text("# source,target,rating,time\n\n7,2,4,1\n2,7,x,2\n")
+    with pytest.raises(MalformedRowError) as err:
+        read_graph(path)
+    assert err.value.line_no == 4
+
+
+def test_read_graph_reads_a_canonical_file_once(tmp_path):
+    # read_graph only probes the first data line before read_canonical
+    # parses the file, so its peak stays that of read_canonical.
+    g = power_law_signed_graph(6000, 20000, seed=21, gamma=2.5)
+    path = tmp_path / "g.tsv"
+    write_canonical(g, path)
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for read in (read_canonical, read_graph):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert read(path).m == g.m
+            peaks[read.__name__] = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peaks["read_graph"] <= 1.1 * peaks["read_canonical"]

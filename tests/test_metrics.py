@@ -5,13 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signet import metrics
-from signet.errors import EmptyGraphError, NoTrianglesError
+from signet.errors import EmptyGraphError
 from signet.graph import Sign, build_graph
 from signet.metrics import (
     TriangleCensus,
-    balanced_fraction,
     compute_eta,
-    local_clustering,
     stats_report,
     triangle_census,
 )
@@ -75,13 +73,13 @@ def test_balanced_iff_sign_product_positive():
 
 
 def test_balanced_fraction_values(k3_positive, k3_mixed):
-    assert balanced_fraction(triangle_census(k3_positive)) == 1.0
-    assert balanced_fraction(triangle_census(k3_mixed)) == 0.0
+    assert triangle_census(k3_positive).delta_b == 1.0
+    assert triangle_census(k3_mixed).delta_b == 0.0
 
 
 def test_balanced_fraction_no_triangles(path3):
-    with pytest.raises(NoTrianglesError):
-        balanced_fraction(triangle_census(path3))
+    assert triangle_census(path3).delta_b == 0.0
+    assert stats_report(path3).delta_b == 0.0
 
 
 def test_balanced_fraction_relabeling_invariant():
@@ -90,8 +88,8 @@ def test_balanced_fraction_relabeling_invariant():
     relabeled = build_graph(
         [(perm[u], perm[v], s) for u, v, s in g.edges], n=g.n
     )
-    assert balanced_fraction(triangle_census(relabeled)) == pytest.approx(
-        balanced_fraction(triangle_census(g))
+    assert triangle_census(relabeled).delta_b == pytest.approx(
+        triangle_census(g).delta_b
     )
 
 
@@ -108,16 +106,16 @@ def test_sign_flip_swaps_census_counts():
 
 
 def test_clustering_k3(k3_mixed):
-    assert local_clustering(k3_mixed) == [1.0, 1.0, 1.0]
+    assert stats_report(k3_mixed).clustering == (1.0, 1.0, 1.0)
 
 
 def test_clustering_path(path3):
-    assert local_clustering(path3) == [0.0, 0.0, 0.0]
+    assert stats_report(path3).clustering == (0.0, 0.0, 0.0)
 
 
 def test_clustering_matches_common_neighbor_count():
     g = random_signed_graph(35, 0.25, seed=4)
-    coeffs = local_clustering(g)
+    coeffs = stats_report(g).clustering
     sign = sign_lookup(g)
     for v in range(g.n):
         nbrs = g.neighbors(v)
