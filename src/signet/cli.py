@@ -238,7 +238,7 @@ def _parse_grid(text):
 @click.argument("input_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--alpha-grid", required=True, help="comma-separated alpha values")
 @click.option("--beta-grid", required=True, help="comma-separated beta values")
-@click.option("--runs", default=3, show_default=True)
+@click.option("--runs", default=3, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=42, show_default=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
 @click.option("--em-samples", type=int, default=None)
@@ -256,14 +256,11 @@ def sweep(input_path, alpha_grid, beta_grid, runs, seed, out_path, em_samples, e
                 rho=learned.rho, alpha=a, beta=b,
                 eta=learned.eta, delta_b=learned.delta_b,
             )
-            d_eta, d_bal = [], []
-            for r in range(runs):
-                gen = run_generate(g, point, seed + r)
-                rep = run_evaluate(g, [gen])
-                d_eta.append(rep.runs[0]["deltas"]["abs_eta_diff"])
-                d_bal.append(rep.runs[0]["deltas"]["abs_delta_b_diff"])
+            mean = run_evaluate(
+                g, [run_generate(g, point, seed + r) for r in range(runs)]
+            ).mean
             rows.append(
-                (a, b, float(np.mean(d_bal)), float(np.mean(d_eta)),
+                (a, b, mean["abs_delta_b_diff"], mean["abs_eta_diff"],
                  int(a == learned.alpha and b == learned.beta))
             )
     with open(out_path, "w", encoding="utf-8") as fh:

@@ -31,8 +31,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain, islice
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -86,14 +85,6 @@ class GenerationState:
         nbrs[v].append(u)
         h += 1
         self.head = 0 if h == len(self.eu) else h
-
-    def live_edges(self) -> Iterator[tuple[int, int, int]]:
-        """The live edges as (u, v, sign), oldest first."""
-        h = self.head
-        return chain(
-            islice(zip(self.eu, self.ev, self.es), h, None),
-            islice(zip(self.eu, self.ev, self.es), h),
-        )
 
     def next_vertex(self) -> tuple[int, bool]:
         """Returns (vertex, from_queue). The queue drains before pi draws."""
@@ -243,7 +234,9 @@ def _run(state: GenerationState) -> SignedGraph:
         generation_step(state)
     # The output build is the run's memory peak: release the rows first.
     state.adj = state.nbrs = None
-    return build_graph(state.live_edges(), n=state.n)
+    ring = np.array((state.eu, state.ev, state.es), dtype=np.int64).T
+    # Rotated to start at head, the ring lists the live edges oldest first.
+    return build_graph(np.roll(ring, -state.head, axis=0), n=state.n)
 
 
 def _require_room(g_input: SignedGraph) -> None:

@@ -3,21 +3,23 @@
 Vertices are dense integers in [0, n). Edges are undirected, unweighted and
 carry a sign. A graph is three numpy columns in edge-index order, the
 smaller endpoint ``u``, the larger endpoint ``v`` and the ``sign`` (+1 or
--1), so it holds no Python object per edge. Readers that walk neighbours
-use ``rows``, a CSR index built on first use that lists each vertex's
-neighbours in edge-index order; ``edges`` rebuilds the (u, v, Sign) triples
-on demand.
+-1), so it holds no Python object per edge. ``build_graph`` takes the edges
+as integer rows (u, v, sign): an (m, 3) integer array, or a list of int or
+``Sign`` triples. Readers that walk neighbours use ``rows``, a CSR index
+built on first use that lists each vertex's neighbours in edge-index order;
+``edges`` rebuilds the (u, v, Sign) triples on demand.
 """
 
 from __future__ import annotations
 
 import enum
-import operator
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import DuplicateEdgeError, EmptyGraphError, SelfLoopError
 
@@ -33,9 +35,8 @@ def canonical_pair(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-# One triple per record; object fields keep each value as given, so the
-# checks in build_graph see exactly what the caller passed.
-_TRIPLE = np.dtype([("u", object), ("v", object), ("s", object)])
+# The largest vertex id whose pair keys (u * (max id + 1) + v) fit int64.
+MAX_VERTEX_ID = math.isqrt(np.iinfo(np.int64).max) - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,10 +61,6 @@ class SignedGraph:
     @property
     def m_positive(self) -> int:
         return int(np.count_nonzero(self.sign > 0))
-
-    @property
-    def m_negative(self) -> int:
-        return self.m - self.m_positive
 
     @property
     def edges(self) -> tuple[tuple[int, int, Sign], ...]:
@@ -110,40 +107,48 @@ def _first_duplicate(keys: np.ndarray) -> int:
 
 
 def build_graph(
-    edge_triples: Iterable[tuple[int, int, Sign]],
+    edges: ArrayLike,
     n: Optional[int] = None,
     labels: Optional[Sequence] = None,
 ) -> SignedGraph:
-    """Construct a canonicalized SignedGraph from (u, v, sign) triples.
+    """Construct a canonicalized SignedGraph from integer (u, v, sign) rows.
 
-    Vertex ids must be integers (``TypeError`` otherwise) whose pair keys
-    fit int64, i.e. below ~3e9 (``ValueError``). A sign may be any value
-    ``Sign(s)`` accepts. Rejects, at the first offending edge in input order, negative
-    ids (``ValueError``), self-loops and duplicate undirected pairs, then
-    signs ``Sign`` rejects (``ValueError``); each edge is checked in that
-    order. The vertex count is 1 + max id unless ``n`` overrides it
-    (isolated vertices are retained).
+    ``edges`` is anything ``np.asarray`` reads as an (m, 3) integer array:
+    such an array, or a list of int or ``Sign`` triples. Any other value
+    (floats, ``None``, strings, an iterator) raises ``TypeError``, and rows
+    that are not triples raise ``ValueError``. Vertex ids must not exceed
+    ``MAX_VERTEX_ID`` (``ValueError``). Rejects, at the first offending edge
+    in input order, negative ids (``ValueError``), self-loops and duplicate
+    undirected pairs, then signs other than +1 and -1 (``Sign``'s
+    ``ValueError``); each edge is checked in that order. The vertex count is
+    1 + max id unless ``n`` overrides it (isolated vertices are retained).
     """
-    rec = np.fromiter(map(tuple, edge_triples), dtype=_TRIPLE)
-    m = len(rec)
-    u = np.fromiter(map(operator.index, rec["u"]), dtype=np.int64, count=m)
-    v = np.fromiter(map(operator.index, rec["v"]), dtype=np.int64, count=m)
-    positive = rec["s"] == 1
+    rows = np.asarray(edges)
+    if rows.shape == (0,):
+        rows = rows.reshape(0, 3)
+    elif not np.can_cast(rows.dtype, np.int64):
+        raise TypeError(f"edges must be integer (u, v, sign) rows, not {rows.dtype}")
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise ValueError(f"edges must be (u, v, sign) rows, got shape {rows.shape}")
+    rows = rows.astype(np.int64, copy=False)
+    u, v, s = rows[:, 0], rows[:, 1], rows[:, 2]
+    m = len(rows)
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     max_id = int(hi.max()) if m else -1
-    if (max_id + 1) ** 2 > np.iinfo(np.int64).max:
+    if max_id > MAX_VERTEX_ID:
         raise ValueError(f"vertex id {max_id} too large")
+    positive = s == 1
     # First offending edge of each kind; on one edge the kinds apply in
     # this order, so the smallest (index, kind) is the error to raise.
     firsts = [
         _first(lo < 0),
         _first(u == v),
         _first_duplicate(lo * (max_id + 1) + hi),
-        _first(~(positive | (rec["s"] == -1))),
+        _first(~(positive | (s == -1))),
     ]
     e = min(firsts)
     if e < m:
-        a, b, s = rec[e]
+        a, b, bad = rows[e].tolist()
         kind = firsts.index(e)
         if kind == 0:
             raise ValueError(f"negative vertex id in edge ({a}, {b})")
@@ -151,7 +156,7 @@ def build_graph(
             raise SelfLoopError(a)
         if kind == 2:
             raise DuplicateEdgeError(*canonical_pair(a, b))
-        Sign(s)  # raises Sign's own ValueError
+        Sign(bad)  # raises Sign's own ValueError
     count = (max_id + 1) if n is None else n
     if count < max_id + 1:
         raise ValueError(f"n={count} too small for max vertex id {max_id}")

@@ -13,14 +13,15 @@ Format is auto-detected by column count (3 = canonical, 4 = rating).
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from .errors import EmptyResultError, MalformedRowError, ParseError
-from .graph import SignedGraph, build_graph
+from .graph import MAX_VERTEX_ID, SignedGraph, build_graph
 
 DATA_DIR_ENV = "SIGNET_DATA_DIR"
 
@@ -66,17 +67,18 @@ def ingest_ratings(rows: Iterable[RawRating]) -> SignedGraph:
     return build_graph(triples, n=len(labels), labels=labels)
 
 
-def _split(line: str) -> list[str]:
-    return line.replace(",", " ").split()
+def _data_lines(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each data line: ``#`` starts a comment,
+    blank lines are skipped, and fields are split on commas and whitespace."""
+    for no, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0]
+        if text.strip():
+            yield no, text.replace(",", " ").split()
 
 
 def parse_rating_lines(lines: Iterable[str]) -> list[RawRating]:
     rows = []
-    for no, line in enumerate(lines, start=1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
-        parts = _split(text)
+    for no, parts in _data_lines(lines):
         if len(parts) not in (3, 4):
             raise MalformedRowError(no, f"expected 3 or 4 columns, got {len(parts)}")
         try:
@@ -85,6 +87,8 @@ def parse_rating_lines(lines: Iterable[str]) -> list[RawRating]:
                 float(parts[3])  # a time: it must be numeric, but is unused
         except ValueError as exc:
             raise MalformedRowError(no, str(exc)) from exc
+        if not math.isfinite(weight):
+            raise MalformedRowError(no, f"non-finite rating {parts[2]!r}")
         rows.append(RawRating(parts[0], parts[1], weight))
     return rows
 
@@ -98,11 +102,7 @@ def read_canonical(path: str | os.PathLike) -> SignedGraph:
     vs: list[int] = []
     signs: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for no, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            parts = _split(text)
+        for no, parts in _data_lines(fh):
             if len(parts) != 3:
                 raise ParseError(no, f"expected 3 columns, got {len(parts)}")
             try:
@@ -115,12 +115,14 @@ def read_canonical(path: str | os.PathLike) -> SignedGraph:
                 raise ParseError(no, f"self-loop on vertex {u}")
             if u < 0 or v < 0:
                 raise ParseError(no, "negative vertex id")
+            if u > MAX_VERTEX_ID or v > MAX_VERTEX_ID:
+                raise ParseError(no, f"vertex id {max(u, v)} above {MAX_VERTEX_ID}")
             us.append(u)
             vs.append(v)
             signs.append(_SIGN_TOKENS[parts[2]])
     if not us:
         raise ParseError(0, "no edges in file")
-    return build_graph(zip(us, vs, signs))
+    return build_graph(np.array((us, vs, signs), dtype=np.int64).T)
 
 
 def write_canonical(g: SignedGraph, path: str | os.PathLike) -> None:
@@ -136,11 +138,10 @@ def read_graph(path: str | os.PathLike) -> SignedGraph:
     of the first data line). Only that line is read before the format's own
     reader parses the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        texts = (line.split("#", 1)[0].strip() for line in fh)
-        first = next((text for text in texts if text), None)
+        first = next(_data_lines(fh), None)
         if first is None:
             raise ParseError(0, "no data lines in file")
-        if len(_split(first)) == 4:
+        if len(first[1]) == 4:
             fh.seek(0)
             return ingest_ratings(parse_rating_lines(fh))
     return read_canonical(path)

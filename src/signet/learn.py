@@ -199,6 +199,16 @@ def em_learn_rho(g: SignedGraph, cfg: LearnConfig) -> tuple[float, list[dict]]:
     return min(max(rho, RHO_EPS), 1.0 - RHO_EPS), trace
 
 
+def _clamp(name: str, raw: float, warnings: Optional[list]) -> float:
+    """``raw`` clamped to [0, 1], warning unless it was within CLAMP_EPS."""
+    if not -CLAMP_EPS <= raw <= 1.0 + CLAMP_EPS:
+        msg = f"{name}={raw:.4f} clamped to [0, 1]"
+        log.warning(msg)
+        if warnings is not None:
+            warnings.append(msg)
+    return min(max(raw, 0.0), 1.0)
+
+
 def update_beta(
     delta_b: float,
     delta_random: float,
@@ -211,12 +221,7 @@ def update_beta(
     raw = (
         delta_b * (delta_triangle + delta_random) - delta_random_balanced
     ) / delta_triangle
-    if not -CLAMP_EPS <= raw <= 1.0 + CLAMP_EPS:
-        msg = f"beta={raw:.4f} clamped to [0, 1]"
-        log.warning(msg)
-        if warnings is not None:
-            warnings.append(msg)
-    return min(max(raw, 0.0), 1.0)
+    return _clamp("beta", raw, warnings)
 
 
 def eta_triangle(eta: float, beta: float) -> float:
@@ -233,12 +238,7 @@ def update_alpha(
     if rho >= 1.0:
         raise RhoAtOneError("alpha update undefined at rho = 1")
     raw = (eta - rho * eta_triangle(eta, beta)) / (1.0 - rho)
-    if not -CLAMP_EPS <= raw <= 1.0 + CLAMP_EPS:
-        msg = f"alpha={raw:.4f} clamped to [0, 1]"
-        log.warning(msg)
-        if warnings is not None:
-            warnings.append(msg)
-    return min(max(raw, 0.0), 1.0)
+    return _clamp("alpha", raw, warnings)
 
 
 def learn_parameters(g: SignedGraph, cfg: Optional[LearnConfig] = None) -> ModelParams:

@@ -37,7 +37,7 @@ def test_stcl_eta_one_all_positive():
     g = power_law_signed_graph(200, 800, seed=1, eta=1.0)
     # Force all-positive input so eta = 1.
     out = stcl_generate(g, rho=0.3, seed=0)
-    assert out.m_negative == 0
+    assert out.m_positive == out.m
 
 
 def test_stcl_sign_fraction_matches_eta():

@@ -51,6 +51,17 @@ def test_analyze_malformed_file_nonzero_exit(runner, tmp_path):
     assert "self-loop" in result.output
 
 
+def test_analyze_vertex_id_above_bound_is_one_line_error(runner, tmp_path):
+    bad = tmp_path / "big.tsv"
+    bad.write_text("0\t1\t+1\n1\t9999999999\t-1\n")
+    result = runner.invoke(main, ["analyze", str(bad), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 1
+    assert "Traceback" not in result.output
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1
+    assert "line 2" in errors[0] and "9999999999" in errors[0]
+
+
 def test_learn_writes_params_with_trace(runner, network_file, tmp_path):
     out = tmp_path / "params.json"
     result = runner.invoke(main, ["learn", network_file, "--out", str(out)])
@@ -118,6 +129,17 @@ def test_sweep_grid_rows(runner, network_file, tmp_path):
     assert len(lines) == 9
     header = out.read_text().splitlines()[0]
     assert header.startswith("# columns: alpha beta")
+
+
+def test_sweep_refuses_zero_runs(runner, network_file, tmp_path):
+    result = runner.invoke(
+        main,
+        ["sweep", network_file, "--alpha-grid", "0.8", "--beta-grid", "0.5",
+         "--runs", "0", "--out", str(tmp_path / "sweep.tsv")],
+    )
+    assert result.exit_code == 2
+    assert "--runs" in result.output and "Traceback" not in result.output
+    assert not (tmp_path / "sweep.tsv").exists()
 
 
 def test_pipeline_end_to_end(runner, network_file, tmp_path):

@@ -50,9 +50,16 @@ def run_policy(g, params, seed, policy):
     return stcl_generate(g, params.rho, seed)
 
 
+def ring(state):
+    """The ring's live edges as (u, v, sign), oldest first: the slots from
+    head on, then the slots before it."""
+    slots = list(zip(state.eu, state.ev, state.es))
+    return slots[state.head:] + slots[:state.head]
+
+
 def live(state):
     """The ring's live edges as {canonical pair: sign}, oldest first."""
-    return {(min(u, v), max(u, v)): s for u, v, s in state.live_edges()}
+    return {(min(u, v), max(u, v)): s for u, v, s in ring(state)}
 
 
 def audit(state):
@@ -71,7 +78,7 @@ def audit(state):
     edge_count = sum(len(a) for a in state.adj) // 2
     assert edge_count == m
     rows = [[] for _ in range(state.n)]
-    for u, v, _ in state.live_edges():
+    for u, v, _ in ring(state):
         rows[u].append(v)
         rows[v].append(u)
     for u in range(state.n):
@@ -269,19 +276,13 @@ def test_rho_one_every_insertion_closes_a_triangle():
         rho=1.0, alpha=0.8, beta=0.9,
     )
     for _ in range(300):
-        before = set(live(state))
+        # The step's eviction may remove the wedge's own edge, so the
+        # common neighbour is looked for in the rows before the step.
+        rows = [set(a) for a in state.adj]
+        slot = state.head
         generation_step(state)
-        new = set(live(state)) - before
-        if not new:
-            continue  # the evicted edge may coincide with an old key
-        (key,) = new
-        u, v = key
-        # Edge inserted via wedge closure: at least one common neighbor,
-        # unless the step fell back to random insertion (walk failure).
-        common = set(state.adj[u]) & set(state.adj[v])
-        assert state.steps_done > 0
-        if common:
-            assert len(common) >= 1
+        u, v = state.eu[slot], state.ev[slot]
+        assert rows[u] & rows[v], f"step {state.steps_done}: ({u}, {v}) closes no wedge"
 
 
 def test_collision_pushes_vertices_to_queue_and_consumes_them_first():
@@ -616,7 +617,7 @@ def oracle_state_run(g, params, seed, policy):
     )
     for _ in range(g.m):
         oracle_step(state)
-    return build_graph(((u, v, s) for (u, v), s in state.live.items()), n=g.n).edges
+    return build_graph([(u, v, s) for (u, v), s in state.live.items()], n=g.n).edges
 
 
 def oracle_generate(g, params, seed, policy):

@@ -1,5 +1,7 @@
 import gc
+import itertools
 import math
+import operator
 import random
 import tracemalloc
 from collections import Counter
@@ -10,14 +12,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signet.errors import DuplicateEdgeError, EmptyGraphError, SelfLoopError
-from signet.graph import Sign, build_graph, build_sampling_vector, canonical_pair
+from signet.graph import (
+    MAX_VERTEX_ID,
+    Sign,
+    build_graph,
+    build_sampling_vector,
+    canonical_pair,
+)
 from signet.io import read_graph, write_canonical
 from tests.conftest import power_law_signed_graph
 
 
 def tuple_dict_build_graph(edge_triples, n=None, labels=None):
     """The per-edge build that the column build replaced, kept as the
-    oracle of its contract: returns (n, edges, adjacency rows, labels)."""
+    oracle of its contract: returns (n, edges, adjacency rows, labels).
+    Like the column build, it takes integer values only and rejects any
+    other value before it checks an edge."""
+    for value in itertools.chain.from_iterable(edge_triples):
+        operator.index(value)
     edges = []
     seen = set()
     max_id = -1
@@ -80,9 +92,12 @@ def test_build_graph_self_loop():
         build_graph([(2, 2, Sign.POSITIVE)])
 
 
-@pytest.mark.parametrize("bad", [0, 2, "x", None, [1]])
+@pytest.mark.parametrize("bad", [0, 2, "x", None, [1], 1.0, 0.5])
 def test_build_graph_rejects_bad_sign(bad):
-    with pytest.raises(ValueError):
+    # An int that Sign rejects, or a list (no row of three), is a
+    # ValueError; a sign that is not an integer is a TypeError.
+    error = ValueError if isinstance(bad, (int, list)) else TypeError
+    with pytest.raises(error):
         build_graph([(0, 1, bad)])
 
 
@@ -91,6 +106,11 @@ def test_build_graph_rejects_bad_sign(bad):
     (1, Sign.POSITIVE), (-1, Sign.NEGATIVE), (Sign.NEGATIVE, Sign.NEGATIVE),
 ])
 def test_build_graph_accepts_what_sign_accepts(value, sign):
+    # Integer signs only: a float is refused even where Sign(value) works.
+    if isinstance(value, float):
+        with pytest.raises(TypeError):
+            build_graph([(0, 1, value)])
+        return
     (edge,) = build_graph([(0, 1, value)]).edges
     assert edge[2] is sign
 
@@ -101,6 +121,12 @@ def test_build_graph_accepts_what_sign_accepts(value, sign):
 ))
 @settings(max_examples=300, deadline=None)
 def test_build_graph_sign_validation_equals_sign_constructor(value):
+    # An integer sign is valid iff Sign accepts it; any other scalar is a
+    # TypeError, and a list is no row of three, a ValueError.
+    if not isinstance(value, (int, list)):
+        with pytest.raises(TypeError):
+            build_graph([(0, 1, value)])
+        return
     try:
         expected = Sign(value)
     except ValueError:
@@ -185,10 +211,12 @@ def test_uniform_endpoint_draw_frequencies():
         assert abs(counts.get(v, 0) / trials - p) <= tol
 
 
+# Integer, bool and Sign signs, plus scalars that are not integers; both
+# builds refuse the latter with a TypeError before any edge is checked.
 SIGN_VALUES = st.one_of(
-    st.sampled_from([1, -1, Sign.POSITIVE, Sign.NEGATIVE, True, 1.0, -1.0]),
-    st.integers(-2, 2), st.floats(allow_nan=True), st.none(), st.text(max_size=2),
-    st.lists(st.integers(-1, 1), max_size=1),
+    st.sampled_from([1, -1, Sign.POSITIVE, Sign.NEGATIVE, True]),
+    st.integers(-2, 2),
+    st.sampled_from([1.0, -1.0]), st.floats(allow_nan=True), st.none(), st.text(max_size=2),
 )
 
 
@@ -201,7 +229,10 @@ SIGN_VALUES = st.one_of(
 def test_build_graph_equals_tuple_dict_oracle(triples, n, labelled):
     labels = [f"x{i}" for i in range(20)] if labelled else None
     expected = outcome(tuple_dict_build_graph, triples, n=n, labels=labels)
-    got = outcome(build_graph, iter(triples), n=n, labels=labels)
+    got = outcome(build_graph, triples, n=n, labels=labels)
+    if expected[0] is TypeError:
+        assert type(got) is tuple and got[0] is TypeError  # worded differently
+        return
     if isinstance(expected[0], type):
         assert got == expected
         return
@@ -218,22 +249,38 @@ def test_build_graph_equals_tuple_dict_oracle(triples, n, labelled):
     ([(-1, -1, 0)], None),  # negative id checked before the self-loop
     ([(2, 2, 0)], None),  # self-loop checked before the sign
     ([(0, 1, 1), (1, 0, 0)], None),  # duplicate checked before the sign
-    ([(4, 1, 1.5)], None),  # a float sign is not truncated
+    ([(4, 1, 1.5)], None),  # a float sign is refused, not truncated
     ([(0, 9, 1)], 5),
+    ([(0, 1, 2), (4, 1, 1.5)], None),  # ... before any edge is checked
 ])
 def test_build_graph_reports_first_offence_like_oracle(triples, n):
     expected = outcome(tuple_dict_build_graph, triples, n=n)
     assert isinstance(expected[0], type)
-    assert outcome(build_graph, triples, n=n) == expected
+    got = outcome(build_graph, triples, n=n)
+    if expected[0] is TypeError:
+        assert type(got) is tuple and got[0] is TypeError  # worded differently
+    else:
+        assert got == expected
 
 
 def test_build_graph_accepts_any_triple_sequence():
     g = build_graph([[0, 1, 1], (1, 2, -1)])
     assert g.edges == ((0, 1, Sign.POSITIVE), (1, 2, Sign.NEGATIVE))
+    for dtype in (np.int64, np.int8):
+        assert build_graph(np.array([[0, 1, 1], [2, 1, -1]], dtype)).edges == g.edges
     with pytest.raises(ValueError):
         build_graph([(0, 1)])
     with pytest.raises(TypeError):
         build_graph([(0, 1.0, 1)])
+    with pytest.raises(TypeError):
+        build_graph(iter([(0, 1, 1)]))
+
+
+def test_build_graph_vertex_id_bound():
+    g = build_graph([(0, MAX_VERTEX_ID, 1)])
+    assert g.n == MAX_VERTEX_ID + 1
+    with pytest.raises(ValueError, match="too large"):
+        build_graph([(0, MAX_VERTEX_ID + 1, 1)])
 
 
 def test_rows_keep_edge_order():

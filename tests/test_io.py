@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from signet.errors import EmptyResultError, MalformedRowError, ParseError
-from signet.graph import Sign
+from signet.graph import MAX_VERTEX_ID, Sign
 from signet.io import (
     RawRating,
     ingest_ratings,
@@ -34,7 +34,7 @@ def test_ingest_drops_self_ratings_and_zero_weights():
         [RawRating("a", "a", 5), RawRating("a", "b", 0), RawRating("a", "b", -2)]
     )
     assert g.m == 1
-    assert g.m_negative == 1
+    assert g.m_positive == 0
 
 
 def test_ingest_keeps_original_labels():
@@ -96,6 +96,30 @@ def test_read_canonical_rejects_self_loop(tmp_path):
         read_canonical(path)
 
 
+def test_read_canonical_rejects_vertex_id_above_bound(tmp_path):
+    path = tmp_path / "big.tsv"
+    path.write_text(f"# ids\n\n0\t{MAX_VERTEX_ID}\t+1\n{MAX_VERTEX_ID + 1}\t1\t-1\n")
+    with pytest.raises(ParseError) as err:
+        read_canonical(path)
+    assert err.value.line_no == 4
+    assert str(MAX_VERTEX_ID + 1) in err.value.reason
+    path.write_text(f"0\t{MAX_VERTEX_ID}\t+1\n")
+    assert read_canonical(path).n == MAX_VERTEX_ID + 1
+
+
+@pytest.mark.parametrize("text, line_no", [
+    ("# c\n\n0 1 +1\n0,2 , -1 # c\n1 2\n", 5),  # comments, blanks, commas
+    ("0\t1\t+1\n \t\n,\n", 3),  # a line of commas has no fields
+])
+def test_read_canonical_error_line_numbers(tmp_path, text, line_no):
+    path = tmp_path / "g.tsv"
+    path.write_text(text)
+    for read in (read_canonical, read_graph):
+        with pytest.raises(ParseError) as err:
+            read(path)
+        assert err.value.line_no == line_no
+
+
 def test_read_canonical_triangle_fixture(tmp_path):
     path = tmp_path / "tri.tsv"
     path.write_text("# a signed triangle\n0\t1\t+1\n1\t2\t-1\n0\t2\t-1\n")
@@ -135,6 +159,14 @@ def test_parse_rating_lines_non_numeric_time():
     with pytest.raises(MalformedRowError) as err:
         parse_rating_lines(["1,2,3,100", "1,3,1,noon"])
     assert err.value.line_no == 2
+
+
+@pytest.mark.parametrize("rating", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+def test_parse_rating_lines_rejects_non_finite_rating(rating):
+    with pytest.raises(MalformedRowError) as err:
+        parse_rating_lines(["a,b,1", f"a,c,{rating},5"])
+    assert err.value.line_no == 2
+    assert "non-finite" in err.value.reason
 
 
 def test_read_graph_rating_rows_keep_line_numbers(tmp_path):
