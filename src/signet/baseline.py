@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from .generate import _generate
 from .graph import SignedGraph
 from .learn import ModelParams
+from .metrics import compute_eta
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ def analytic_triangle_distribution(eta: float) -> BaselineTriangleExpectation:
 def stcl_params(g_input: SignedGraph, rho: float) -> ModelParams:
     """STCL's parameters: wedge closures at rate ``rho``, and every sign
     positive with the input's probability eta (alpha = eta, beta = 0)."""
-    eta = g_input.m_positive / g_input.m
+    eta = compute_eta(g_input)
     return ModelParams(rho=rho, alpha=eta, beta=0.0, eta=eta, delta_b=0.0)
 
 

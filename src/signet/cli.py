@@ -48,6 +48,11 @@ def _learn_config(seed, em_samples, em_iters) -> LearnConfig:
     return cfg
 
 
+# EM's options, shared by learn, sweep and pipeline; unset means the default.
+_em_samples = click.option("--em-samples", type=click.IntRange(min=1), default=None)
+_em_iters = click.option("--em-iters", type=click.IntRange(min=1), default=None)
+
+
 class _Group(click.Group):
     """Reports a SignetError from any command as a one-line error, exit 1."""
 
@@ -109,8 +114,8 @@ def analyze(input_path, out_dir):
 @click.argument("input_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
 @click.option("--seed", default=42, show_default=True)
-@click.option("--em-samples", type=int, default=None)
-@click.option("--em-iters", type=int, default=None)
+@_em_samples
+@_em_iters
 def learn(input_path, out_path, seed, em_samples, em_iters):
     """Learn model parameters from a network."""
     g = read_graph(input_path)
@@ -124,8 +129,8 @@ def learn(input_path, out_path, seed, em_samples, em_iters):
 
 
 def _read_params(path) -> ModelParams:
-    """Load a params.json; a file that is not JSON, or lacks a number for
-    one of the model's parameters, is a ParseError."""
+    """Load a params.json; a file that is not JSON, or lacks a finite
+    number in [0, 1] for one of the model's parameters, is a ParseError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -135,8 +140,9 @@ def _read_params(path) -> ModelParams:
             ) from exc
     for key in ("rho", "alpha", "beta", "eta", "delta_b"):
         value = data.get(key) if isinstance(data, dict) else None
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ParseError(0, f"{path} needs a number for {key!r}, not {value!r}")
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not 0.0 <= value <= 1.0):  # also false for NaN
+            raise ParseError(0, f"{path} needs a number in [0, 1] for {key!r}, not {value!r}")
     return ModelParams.from_dict(data)
 
 
@@ -172,7 +178,7 @@ def _generate_runs(g, params, runs, seed, out_dir, policy):
 @main.command()
 @click.argument("input_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--params", "params_path", type=click.Path(exists=True), required=True)
-@click.option("--runs", default=10, show_default=True)
+@click.option("--runs", default=10, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=42, show_default=True)
 @click.option("--outdir", type=click.Path(file_okay=False), required=True)
 @click.option("--policy", type=click.Choice(["balance", "iid"]), default="balance",
@@ -241,8 +247,8 @@ def _parse_grid(text):
 @click.option("--runs", default=3, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=42, show_default=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
-@click.option("--em-samples", type=int, default=None)
-@click.option("--em-iters", type=int, default=None)
+@_em_samples
+@_em_iters
 def sweep(input_path, alpha_grid, beta_grid, runs, seed, out_path, em_samples, em_iters):
     """Grid search over (alpha, beta); emits surface data for each point."""
     g = read_graph(input_path)
@@ -274,10 +280,10 @@ def sweep(input_path, alpha_grid, beta_grid, runs, seed, out_path, em_samples, e
 @main.command()
 @click.argument("input_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--outdir", type=click.Path(file_okay=False), required=True)
-@click.option("--runs", default=10, show_default=True)
+@click.option("--runs", default=10, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=42, show_default=True)
-@click.option("--em-samples", type=int, default=None)
-@click.option("--em-iters", type=int, default=None)
+@_em_samples
+@_em_iters
 @click.pass_context
 def pipeline(ctx, input_path, outdir, runs, seed, em_samples, em_iters):
     """analyze -> learn -> generate -> evaluate in one command."""

@@ -5,9 +5,8 @@ carry a sign. A graph is three numpy columns in edge-index order, the
 smaller endpoint ``u``, the larger endpoint ``v`` and the ``sign`` (+1 or
 -1), so it holds no Python object per edge. ``build_graph`` takes the edges
 as integer rows (u, v, sign): an (m, 3) integer array, or a list of int or
-``Sign`` triples. Readers that walk neighbours use ``rows``, a CSR index
-built on first use that lists each vertex's neighbours in edge-index order;
-``edges`` rebuilds the (u, v, Sign) triples on demand.
+``Sign`` triples. ``edges`` rebuilds the (u, v, Sign) triples on demand;
+an algorithm that walks neighbours builds the index it needs.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -72,23 +70,6 @@ class SignedGraph:
     def degrees(self) -> np.ndarray:
         """int64 degree of every vertex."""
         return np.bincount(self.u, minlength=self.n) + np.bincount(self.v, minlength=self.n)
-
-    @cached_property
-    def rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR ``(indptr, nbr)``: vertex a's neighbours are
-        ``nbr[indptr[a]:indptr[a + 1]]``, in the order of the edges that
-        join them to a."""
-        ends = np.column_stack((self.u, self.v)).ravel()
-        # A stable sort of the endpoints in edge order keeps each row in it.
-        order = np.argsort(ends, kind="stable")
-        nbr = np.column_stack((self.v, self.u)).ravel()[order]
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(self.degrees(), out=indptr[1:])
-        return indptr, nbr
-
-    def neighbors(self, v: int) -> list[int]:
-        indptr, nbr = self.rows
-        return nbr[indptr[v]:indptr[v + 1]].tolist()
 
 
 def _first(mask: np.ndarray) -> int:

@@ -69,11 +69,16 @@ def ingest_ratings(rows: Iterable[RawRating]) -> SignedGraph:
 
 def _data_lines(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
     """(line number, fields) of each data line: ``#`` starts a comment,
-    blank lines are skipped, and fields are split on commas and whitespace."""
-    for no, line in enumerate(lines, start=1):
-        text = line.split("#", 1)[0]
-        if text.strip():
-            yield no, text.replace(",", " ").split()
+    blank lines are skipped, and fields are split on commas and whitespace.
+    A file that is not UTF-8 is a ParseError (line 0: decoding runs ahead
+    of the lines, so the line is not known)."""
+    try:
+        for no, line in enumerate(lines, start=1):
+            text = line.split("#", 1)[0]
+            if text.strip():
+                yield no, text.replace(",", " ").split()
+    except UnicodeDecodeError as exc:
+        raise ParseError(0, f"not UTF-8 text ({exc.reason})") from exc
 
 
 def parse_rating_lines(lines: Iterable[str]) -> list[RawRating]:

@@ -95,19 +95,24 @@ def em_edge_responsibility(
     Wedge likelihood walks every neighbor v_k of v_i and accumulates
     1/(d_i d_k) when v_k also neighbors v_j; the random-insertion
     likelihood is the chance of drawing the second endpoint from the
-    sampling vector, d_j / 2M. This is the reference definition;
-    ``em_learn_rho`` reproduces it for whole edge samples at once.
+    sampling vector, d_j / 2M. This is the reference definition, read
+    straight from the edge columns in O(M); ``em_learn_rho`` reproduces it
+    for whole edge samples at once.
     """
-    row_i, nbrs_j = g.neighbors(v_i), set(g.neighbors(v_j))
-    d_i = len(row_i)
+    def row(a: int) -> list[int]:  # a's neighbours, in edge order
+        at = (g.u == a) | (g.v == a)
+        return (g.u[at] + g.v[at] - a).tolist()
+
+    deg = g.degrees().tolist()
+    row_i, nbrs_j = row(v_i), set(row(v_j))
     wedge = 0.0
     for v_k in row_i:
         if v_k in nbrs_j:
-            wedge += 1.0 / (d_i * len(g.neighbors(v_k)))
+            wedge += 1.0 / (deg[v_i] * deg[v_k])
     w = rho_t * wedge
     if w == 0.0:
         return 0.0
-    r = (1.0 - rho_t) * (len(nbrs_j) / (2.0 * g.m))
+    r = (1.0 - rho_t) * (deg[v_j] / (2.0 * g.m))
     return w / (w + r)
 
 
@@ -199,29 +204,17 @@ def em_learn_rho(g: SignedGraph, cfg: LearnConfig) -> tuple[float, list[dict]]:
     return min(max(rho, RHO_EPS), 1.0 - RHO_EPS), trace
 
 
-def _clamp(name: str, raw: float, warnings: Optional[list]) -> float:
-    """``raw`` clamped to [0, 1], warning unless it was within CLAMP_EPS."""
-    if not -CLAMP_EPS <= raw <= 1.0 + CLAMP_EPS:
-        msg = f"{name}={raw:.4f} clamped to [0, 1]"
-        log.warning(msg)
-        if warnings is not None:
-            warnings.append(msg)
-    return min(max(raw, 0.0), 1.0)
-
-
 def update_beta(
     delta_b: float,
     delta_random: float,
     delta_random_balanced: float,
     delta_triangle: float,
-    warnings: Optional[list] = None,
 ) -> float:
     """Closed-form balance parameter given the expected triangles per
-    random insertion (all and balanced) and per wedge closure."""
-    raw = (
+    random insertion (all and balanced) and per wedge closure, unclamped."""
+    return (
         delta_b * (delta_triangle + delta_random) - delta_random_balanced
     ) / delta_triangle
-    return _clamp("beta", raw, warnings)
 
 
 def eta_triangle(eta: float, beta: float) -> float:
@@ -231,19 +224,18 @@ def eta_triangle(eta: float, beta: float) -> float:
     return beta * same + (1.0 - beta) * mixed
 
 
-def update_alpha(
-    eta: float, rho: float, beta: float, warnings: Optional[list] = None
-) -> float:
-    """Sign-correction probability for random insertions."""
+def update_alpha(eta: float, rho: float, beta: float) -> float:
+    """Sign-correction probability for random insertions, unclamped."""
     if rho >= 1.0:
         raise RhoAtOneError("alpha update undefined at rho = 1")
-    raw = (eta - rho * eta_triangle(eta, beta)) / (1.0 - rho)
-    return _clamp("alpha", raw, warnings)
+    return (eta - rho * eta_triangle(eta, beta)) / (1.0 - rho)
 
 
 def learn_parameters(g: SignedGraph, cfg: Optional[LearnConfig] = None) -> ModelParams:
     """Full learning pass: measure the input, EM for rho, then alternate
-    the beta and alpha closed-form updates until they stop moving.
+    the beta and alpha closed-form updates, each clamped to [0, 1], until
+    they stop moving. A final value that left [-CLAMP_EPS, 1 + CLAMP_EPS]
+    before its clamp is warned about once.
     """
     cfg = cfg or LearnConfig()
     warnings: list[str] = []
@@ -265,8 +257,10 @@ def learn_parameters(g: SignedGraph, cfg: Optional[LearnConfig] = None) -> Model
     ab_trace = []
     for it in range(AB_MAX_ITERS):
         drb = delta_random_balanced(dr, eta, alpha)
-        new_beta = update_beta(delta_b, dr, drb, dt, warnings)
-        new_alpha = update_alpha(eta, rho, new_beta, warnings)
+        raw_beta = update_beta(delta_b, dr, drb, dt)
+        new_beta = min(max(raw_beta, 0.0), 1.0)
+        raw_alpha = update_alpha(eta, rho, new_beta)
+        new_alpha = min(max(raw_alpha, 0.0), 1.0)
         move = max(abs(new_alpha - alpha), abs(new_beta - beta))
         ab_trace.append(
             {"iteration": it, "alpha": new_alpha, "beta": new_beta, "delta": move}
@@ -274,6 +268,11 @@ def learn_parameters(g: SignedGraph, cfg: Optional[LearnConfig] = None) -> Model
         alpha, beta = new_alpha, new_beta
         if move < AB_TOL:
             break
+    for name, raw in (("beta", raw_beta), ("alpha", raw_alpha)):
+        if not -CLAMP_EPS <= raw <= 1.0 + CLAMP_EPS:
+            msg = f"{name}={raw:.4f} clamped to [0, 1]"
+            log.warning(msg)
+            warnings.append(msg)
 
     return ModelParams(
         rho=rho,

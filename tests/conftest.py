@@ -16,6 +16,15 @@ def sign_lookup(g: SignedGraph) -> dict[tuple[int, int], Sign]:
     return signs
 
 
+def neighbor_rows(g: SignedGraph) -> list[list[int]]:
+    """Each vertex's neighbours, in the order of the edges that join them."""
+    rows = [[] for _ in range(g.n)]
+    for u, v, _ in g.edges:
+        rows[u].append(v)
+        rows[v].append(u)
+    return rows
+
+
 def brute_force_census(g: SignedGraph) -> dict[str, int]:
     """O(N^3) triple-loop triangle census, the independent oracle."""
     counts = {"+++": 0, "++-": 0, "+--": 0, "---": 0}

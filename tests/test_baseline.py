@@ -3,6 +3,8 @@ import math
 import pytest
 
 from signet.baseline import analytic_triangle_distribution, stcl_generate
+from signet.errors import EmptyGraphError
+from signet.graph import build_graph
 from signet.metrics import stats_report
 from tests.conftest import power_law_signed_graph
 
@@ -38,6 +40,12 @@ def test_stcl_eta_one_all_positive():
     # Force all-positive input so eta = 1.
     out = stcl_generate(g, rho=0.3, seed=0)
     assert out.m_positive == out.m
+
+
+def test_stcl_empty_graph_is_empty_graph_error():
+    # As for generate: eta is undefined without edges.
+    with pytest.raises(EmptyGraphError):
+        stcl_generate(build_graph([], n=3), rho=0.3, seed=0)
 
 
 def test_stcl_sign_fraction_matches_eta():

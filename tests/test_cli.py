@@ -62,6 +62,16 @@ def test_analyze_vertex_id_above_bound_is_one_line_error(runner, tmp_path):
     assert "line 2" in errors[0] and "9999999999" in errors[0]
 
 
+def test_analyze_non_utf8_input_is_one_line_error(runner, tmp_path):
+    bad = tmp_path / "bad.tsv"
+    bad.write_bytes(b"\xff0\t1\t+1\n")
+    result = runner.invoke(main, ["analyze", str(bad), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 1
+    assert "Traceback" not in result.output
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and "not UTF-8" in errors[0]
+
+
 def test_learn_writes_params_with_trace(runner, network_file, tmp_path):
     out = tmp_path / "params.json"
     result = runner.invoke(main, ["learn", network_file, "--out", str(out)])
@@ -142,6 +152,34 @@ def test_sweep_refuses_zero_runs(runner, network_file, tmp_path):
     assert not (tmp_path / "sweep.tsv").exists()
 
 
+@pytest.mark.parametrize("command, option", [
+    ("learn", "--em-samples"),
+    ("learn", "--em-iters"),
+    ("sweep", "--em-samples"),
+    ("sweep", "--em-iters"),
+    ("pipeline", "--em-samples"),
+    ("pipeline", "--em-iters"),
+    ("pipeline", "--runs"),
+    ("generate", "--runs"),
+])
+def test_count_option_refuses_zero(runner, network_file, tmp_path, command, option):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(
+        {"rho": 0.5, "alpha": 0.5, "beta": 0.5, "eta": 0.8, "delta_b": 0.5}
+    ))
+    out = tmp_path / "out"
+    args = {
+        "learn": ["--out", str(out)],
+        "sweep": ["--alpha-grid", "0.8", "--beta-grid", "0.5", "--out", str(out)],
+        "pipeline": ["--outdir", str(out)],
+        "generate": ["--params", str(params), "--outdir", str(out)],
+    }[command]
+    result = runner.invoke(main, [command, network_file, *args, option, "0"])
+    assert result.exit_code == 2
+    assert option in result.output and "Traceback" not in result.output
+    assert not out.exists()
+
+
 def test_pipeline_end_to_end(runner, network_file, tmp_path):
     outdir = tmp_path / "run"
     result = runner.invoke(
@@ -220,7 +258,15 @@ def test_generate_iid_manifest_records_stcl_params(runner, network_file, tmp_pat
     ('{"rho": 0.5, "alpha": 0.5, "beta": 0.5, "eta": 0.8}', "'delta_b'"),
     ('{"rho": "0.5", "alpha": 0.5, "beta": 0.5, "eta": 0.8, "delta_b": 1}', "'rho'"),
     ("[0.5]", "'rho'"),
-], ids=["truncated", "not-utf8", "missing-key", "string-value", "not-an-object"])
+    ('{"rho": 0.5, "alpha": 0.5, "beta": 0.5, "eta": 1.5, "delta_b": 0.5}', "'eta', not 1.5"),
+    ('{"rho": 0.5, "alpha": 0.5, "beta": 0.5, "eta": -0.2, "delta_b": 0.5}',
+     "'eta', not -0.2"),
+    ('{"rho": 0.5, "alpha": 0.5, "beta": 0.5, "eta": NaN, "delta_b": 0.5}', "'eta', not nan"),
+    ('{"rho": NaN, "alpha": 0.5, "beta": 0.5, "eta": 0.8, "delta_b": 0.5}', "'rho', not nan"),
+    ('{"rho": 0.5, "alpha": 0.5, "beta": 0.5, "eta": 0.8, "delta_b": Infinity}',
+     "'delta_b', not inf"),
+], ids=["truncated", "not-utf8", "missing-key", "string-value", "not-an-object",
+        "eta-above-one", "eta-negative", "eta-nan", "rho-nan", "delta-b-infinite"])
 def test_generate_malformed_params_is_one_line_error(runner, network_file, tmp_path,
                                                       text, reason):
     params = tmp_path / "params.json"

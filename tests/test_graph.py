@@ -20,7 +20,7 @@ from signet.graph import (
     canonical_pair,
 )
 from signet.io import read_graph, write_canonical
-from tests.conftest import power_law_signed_graph
+from tests.conftest import neighbor_rows, power_law_signed_graph
 
 
 def tuple_dict_build_graph(edge_triples, n=None, labels=None):
@@ -238,7 +238,7 @@ def test_build_graph_equals_tuple_dict_oracle(triples, n, labelled):
         return
     count, edges, rows, kept = expected
     assert (got.n, got.edges, got.labels) == (count, edges, kept)
-    assert [got.neighbors(a) for a in range(got.n)] == rows
+    assert neighbor_rows(got) == rows
     assert got.degrees().tolist() == [len(r) for r in rows]
 
 
@@ -285,8 +285,7 @@ def test_build_graph_vertex_id_bound():
 
 def test_rows_keep_edge_order():
     g = build_graph([(3, 1, 1), (0, 3, -1), (2, 3, 1), (1, 0, 1)])
-    assert [g.neighbors(a) for a in range(4)] == [[3, 1], [3, 0], [3], [1, 0, 2]]
-    assert g.neighbors(3) == [1, 0, 2]
+    assert neighbor_rows(g) == [[3, 1], [3, 0], [3], [1, 0, 2]]
 
 
 @pytest.fixture(scope="module")

@@ -15,7 +15,7 @@ from signet.io import (
     read_graph,
     write_canonical,
 )
-from tests.conftest import power_law_signed_graph
+from tests.conftest import neighbor_rows, power_law_signed_graph
 
 
 def test_ingest_directed_pair_sums_to_positive():
@@ -72,10 +72,11 @@ def test_ingest_fuzz_never_violates_graph_invariants(rows):
         return
     pairs = {(u, v) for u, v, _ in g.edges}
     assert len(pairs) == g.m
+    rows = neighbor_rows(g)
     for u, v, s in g.edges:
         assert u < v
         assert s is Sign.POSITIVE or s is Sign.NEGATIVE
-        assert u in g.neighbors(v) and v in g.neighbors(u)
+        assert u in rows[v] and v in rows[u]
 
 
 def test_canonical_round_trip(tmp_path):
@@ -118,6 +119,18 @@ def test_read_canonical_error_line_numbers(tmp_path, text, line_no):
         with pytest.raises(ParseError) as err:
             read(path)
         assert err.value.line_no == line_no
+
+
+@pytest.mark.parametrize("data", [
+    b"\xff0\t1\t+1\n",
+    b"".join(b"0\t%d\t+1\n" % v for v in range(1, 3000)) + b"1\t2\t\xe9\n",
+    b"a,b,1,0\nb,\xff,1,1\n",
+], ids=["first-byte", "past-first-chunk", "rating-file"])
+def test_non_utf8_input_is_parse_error(tmp_path, data):
+    path = tmp_path / "g.tsv"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match="not UTF-8"):
+        read_graph(path)
 
 
 def test_read_canonical_triangle_fixture(tmp_path):

@@ -24,7 +24,7 @@ from signet.learn import (
     update_alpha,
     update_beta,
 )
-from tests.conftest import power_law_signed_graph, random_signed_graph
+from tests.conftest import neighbor_rows, power_law_signed_graph, random_signed_graph
 
 
 def test_responsibility_no_common_neighbor(path3):
@@ -87,11 +87,17 @@ def test_update_beta_identity_cases():
     assert update_beta(0.0, 0.5, 0.0, 1.5) == pytest.approx(0.0)
 
 
-def test_update_beta_clamps_and_warns():
-    warnings = []
-    beta = update_beta(0.2, 0.5, 0.45, 1.5, warnings)
-    assert beta == 0.0
-    assert warnings and "clamped" in warnings[0]
+def test_update_beta_clamps_and_warns(k3_mixed):
+    # update_beta returns its raw closed form; learn_parameters clamps it
+    # and warns once, naming the raw value.
+    raw = update_beta(0.2, 0.5, 0.45, 1.5)
+    assert raw == pytest.approx(-1 / 30)
+    with mock.patch.object(learn, "update_beta", lambda *args: raw):
+        params = learn_parameters(k3_mixed)
+    assert params.beta == 0.0
+    assert [w for w in params.warnings if w.startswith("beta")] == [
+        "beta=-0.0333 clamped to [0, 1]"
+    ]
 
 
 def test_eta_triangle_values():
@@ -111,11 +117,17 @@ def test_update_alpha_symmetric_eta():
             assert update_alpha(0.5, rho, beta) == pytest.approx(0.5)
 
 
-def test_update_alpha_clamps_and_warns():
-    warnings = []
-    alpha = update_alpha(0.915, 0.4, 0.9, warnings)
-    assert alpha == 1.0
-    assert warnings and "clamped" in warnings[0]
+def test_update_alpha_clamps_and_warns(k3_mixed):
+    # update_alpha returns its raw closed form; learn_parameters clamps it
+    # and warns once, naming the raw value.
+    raw = update_alpha(0.915, 0.4, 0.9)
+    assert raw == pytest.approx(1.00796)
+    with mock.patch.object(learn, "update_alpha", lambda *args: raw):
+        params = learn_parameters(k3_mixed)
+    assert params.alpha == 1.0
+    assert [w for w in params.warnings if w.startswith("alpha")] == [
+        "alpha=1.0080 clamped to [0, 1]"
+    ]
 
 
 def clamp_warnings(params):
@@ -277,7 +289,7 @@ def test_em_equals_per_edge_oracle_bit_for_bit(name, sample, seed, monkeypatch):
 def test_wedge_likelihoods_equal_scalar_walk():
     g = power_law_signed_graph(150, 700, seed=9, gamma=2.1)
     wedge = learn.wedge_likelihoods(g)
-    rows = [g.neighbors(a) for a in range(g.n)]
+    rows = neighbor_rows(g)
     for e, (u, v, _) in enumerate(g.edges):
         for slot, (i, j) in ((2 * e, (u, v)), (2 * e + 1, (v, u))):
             walk = 0.0
@@ -316,25 +328,27 @@ def small_signed_graphs(draw):
 @given(small_signed_graphs(), st.integers(0, 5))
 @settings(max_examples=150, deadline=None)
 def test_learned_parameters_in_unit_interval_and_every_clamp_warned(g, seed):
-    # Each closed-form update's raw value, recomputed by its formula; every
-    # one outside [-CLAMP_EPS, 1 + CLAMP_EPS] must leave a warning naming it.
-    expected = []
+    # Each closed-form update's last raw value, recomputed by its formula:
+    # beta's, then alpha's, each outside [-CLAMP_EPS, 1 + CLAMP_EPS] must
+    # leave exactly one warning naming it, and nothing else may warn.
+    last = {}
 
-    def note(name, raw):
-        if not -CLAMP_EPS <= raw <= 1.0 + CLAMP_EPS:
-            expected.append(f"{name}={raw:.4f} clamped to [0, 1]")
+    def beta_spy(delta_b, dr, drb, dt):
+        last["beta"] = (delta_b * (dt + dr) - drb) / dt
+        return update_beta(delta_b, dr, drb, dt)
 
-    def beta_spy(delta_b, dr, drb, dt, warnings=None):
-        note("beta", (delta_b * (dt + dr) - drb) / dt)
-        return update_beta(delta_b, dr, drb, dt, warnings)
-
-    def alpha_spy(eta, rho, beta, warnings=None):
-        note("alpha", (eta - rho * eta_triangle(eta, beta)) / (1.0 - rho))
-        return update_alpha(eta, rho, beta, warnings)
+    def alpha_spy(eta, rho, beta):
+        last["alpha"] = (eta - rho * eta_triangle(eta, beta)) / (1.0 - rho)
+        return update_alpha(eta, rho, beta)
 
     with mock.patch.object(learn, "update_beta", beta_spy), \
             mock.patch.object(learn, "update_alpha", alpha_spy):
         params = learn_parameters(g, LearnConfig(seed=seed))
     for value in (params.rho, params.alpha, params.beta):
         assert 0.0 <= value <= 1.0
+    expected = [
+        f"{name}={raw:.4f} clamped to [0, 1]"
+        for name, raw in last.items()
+        if not -CLAMP_EPS <= raw <= 1.0 + CLAMP_EPS
+    ]
     assert [w for w in params.warnings if "clamped" in w] == expected

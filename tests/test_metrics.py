@@ -13,7 +13,12 @@ from signet.metrics import (
     stats_report,
     triangle_census,
 )
-from tests.conftest import brute_force_census, random_signed_graph, sign_lookup
+from tests.conftest import (
+    brute_force_census,
+    neighbor_rows,
+    random_signed_graph,
+    sign_lookup,
+)
 
 
 def test_eta_all_positive(k3_positive):
@@ -117,15 +122,14 @@ def test_clustering_matches_common_neighbor_count():
     g = random_signed_graph(35, 0.25, seed=4)
     coeffs = stats_report(g).clustering
     sign = sign_lookup(g)
-    for v in range(g.n):
-        nbrs = g.neighbors(v)
+    for nbrs, coeff in zip(neighbor_rows(g), coeffs, strict=True):
         d = len(nbrs)
         links = 0
         for a, b in itertools.combinations(nbrs, 2):
             if (a, b) in sign:
                 links += 1
         expected = 2.0 * links / (d * (d - 1)) if d >= 2 else 0.0
-        assert coeffs[v] == pytest.approx(expected)
+        assert coeff == pytest.approx(expected)
 
 
 def test_stats_report_star_histogram():
