@@ -1,6 +1,6 @@
 """Synthetic network generation.
 
-Starts from a fast Chung-Lu edge set over the input's sampling vector,
+Starts from a fast Chung-Lu (FCL) edge set over the input's sampling vector,
 splits it by the target sign fraction, then replaces every edge through M
 insert/evict rounds that mix two-hop wedge closures (balance-driven signs)
 with random insertions (positive with probability alpha). Collisions park
@@ -9,13 +9,32 @@ draws. The STCL baseline (``baseline.stcl_generate``) runs the same rounds
 with ``balance`` off: a wedge closure's sign is then drawn like a random
 insertion's, and that is the only place the two models differ.
 
+Randomness comes from two ``random.Random`` streams seeded from the run's
+seed. The topology stream draws FCL's endpoint pairs, each round's branch
+coin, the walk hops and the sampling-vector picks. The sign stream draws
+FCL's sign placement, the balanced-branch and tie coins and the signs of
+random insertions. No sign steers a walk or a collision, so the live edges,
+and with them the output's (u, v) columns, depend only on (input, rho,
+seed): alpha, beta, eta and the STCL switch change signs only. A stream is
+read in whole blocks of ``BLOCK`` 64-bit words from ``getrandbits``, which
+numpy turns into 53-bit uniforms x in [0, 1) or into indices floor(x * d).
+The rounds take them one at a time with ``next()``.
+
+FCL draws its endpoint pairs in bulk, in chunks of whole blocks that hold
+at least 9M/8 pairs: pair i is the two entries of pi that words 2i and
+2i + 1 index. It keeps the first M pairs that are no self-loop and repeat
+no earlier pair, out of at most 100 * M draws, and makes exactly
+round(eta * M) of them positive: the slots whose sign-stream words rank
+lowest. The rounds' topology draws start after the last chunk FCL read.
+
 The state holds plain ints only: a sign is +1 or -1, as in the output
-graph's sign column. The M live edges sit in a fixed ring of slots, edge
-(``eu[i]``, ``ev[i]``) with sign ``es[i]``, and ``head`` is the slot of the
-oldest one. A round overwrites that slot with the new edge: an insertion
-and a FIFO eviction in one write, since the new edge is never live, hence
-never the one evicted. Reading the ring from ``head`` on lists the live
-edges oldest first.
+graph's sign column, and every vertex id in the ring, the rows, ``adj`` and
+the queue is one of the n shared int objects of ``ids``. The M live edges
+sit in a fixed ring of slots, edge (``eu[i]``, ``ev[i]``) with sign
+``es[i]``, and ``head`` is the slot of the oldest one. A round overwrites
+that slot with the new edge: an insertion and a FIFO eviction in one write,
+since the new edge is never live, hence never the one evicted. Reading the
+ring from ``head`` on lists the live edges oldest first.
 
 Besides the sign map ``adj[u]``, the state keeps each vertex's neighbours in
 a plain list ``nbrs[u]`` in the same order, so a two-hop walk indexes a row
@@ -31,7 +50,8 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import chain, repeat
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -41,19 +61,54 @@ from .learn import ModelParams
 
 STEP_RETRY_BUDGET = 100
 WEDGE_WALK_RETRIES = 10
+BLOCK = 4096  # 64-bit words per read of a random stream
+
+
+def _words(rng: random.Random, blocks: int) -> np.ndarray:
+    """The next ``blocks`` blocks of ``rng``'s 64-bit words. Reading k
+    blocks at once gives the same words as reading them one at a time."""
+    nbytes = 8 * BLOCK * blocks
+    return np.frombuffer(rng.getrandbits(8 * nbytes).to_bytes(nbytes, "little"), "<u8")
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """53-bit uniforms in [0, 1): each word's top 53 bits over 2**53."""
+    return (words >> 11).astype(np.float64) * 2.0**-53
+
+
+def _indices(words: np.ndarray, d: int) -> np.ndarray:
+    """Uniform indices in [0, d): floor(x * d) of each word's uniform x."""
+    return (_uniforms(words) * d).astype(np.int64)
+
+
+def _stream(rng: random.Random, convert: Callable[[np.ndarray], Iterable]) -> Iterator:
+    """Endless draws: ``convert`` of each block of ``rng``, read on demand."""
+    return chain.from_iterable(map(convert, map(_words, repeat(rng), repeat(1))))
+
+
+def _uniform_list(words: np.ndarray) -> list[float]:
+    return _uniforms(words).tolist()
 
 
 @dataclass
 class GenerationState:
     n: int
-    pi: list[int]
+    pi: np.ndarray  # the sampling vector, int64
     target_m: int
     rho: float
     alpha: float
     beta: float
-    rng: random.Random
+    seed: int
     # Off for STCL: wedge closures ignore balance (see the module docstring).
     balance: bool = True
+    # ids[v] is v; every vertex id the state holds is one of these objects.
+    ids: list[int] = field(init=False)
+    # The two streams and the draws the rounds take from them.
+    topology: random.Random = field(init=False)
+    signs: random.Random = field(init=False)
+    picks: Iterator[int] = field(init=False)  # sampling-vector entries
+    hops: Iterator[float] = field(init=False)  # branch coins and walk hops
+    coins: Iterator[float] = field(init=False)  # sign coins
     # The ring of live edges (see the module docstring).
     eu: list[int] = field(init=False, default_factory=list)
     ev: list[int] = field(init=False, default_factory=list)
@@ -66,7 +121,17 @@ class GenerationState:
     steps_done: int = field(init=False, default=0)
 
     def __post_init__(self):
+        ids = self.ids = list(range(self.n))
+        pi = self.pi
         self.adj = [dict() for _ in range(self.n)]
+        self.topology = random.Random(f"{self.seed}:topology")
+        self.signs = random.Random(f"{self.seed}:signs")
+        self.picks = _stream(
+            self.topology,
+            lambda words: map(ids.__getitem__, pi[_indices(words, len(pi))].tolist()),
+        )
+        self.hops = _stream(self.topology, _uniform_list)
+        self.coins = _stream(self.signs, _uniform_list)
 
     def replace_oldest(self, u: int, v: int, sign: int) -> None:
         """Insert (u, v) with ``sign`` and evict the oldest live edge."""
@@ -90,7 +155,7 @@ class GenerationState:
         """Returns (vertex, from_queue). The queue drains before pi draws."""
         if self.pending:
             return self.pending.popleft(), True
-        return self.rng.choice(self.pi), False
+        return next(self.picks), False
 
     def park(self, v: int, from_queue: bool) -> None:
         # A vertex gets one deferred retry; re-enqueueing queue-sourced
@@ -99,44 +164,42 @@ class GenerationState:
             self.pending.append(v)
 
 
-def fcl_initialize(
-    pi: list[int],
-    m: int,
-    eta: float,
-    rng: random.Random,
-    n: Optional[int] = None,
-    rho: float = 0.0,
-    alpha: float = 0.0,
-    beta: float = 0.0,
-) -> GenerationState:
-    """Sample M distinct edges by independent endpoint pairs from pi, then
-    make exactly round(eta * M) of them positive (uniform placement).
-    """
-    if not pi:
+def fcl_initialize(state: GenerationState, eta: float) -> None:
+    """Fill the ring with the first M distinct non-loop endpoint pairs drawn
+    from pi, then make exactly round(eta * M) of them positive (see the
+    module docstring)."""
+    pi, m, n = state.pi, state.target_m, state.n
+    if len(pi) == 0:
         raise StallError("empty sampling vector")
-    count = n if n is not None else (max(pi) + 1)
-    state = GenerationState(
-        n=count, pi=pi, target_m=m, rho=rho, alpha=alpha, beta=beta, rng=rng,
-    )
-    adj, eu, ev = state.adj, state.eu, state.ev
     budget = 100 * m
-    while len(eu) < m:
-        if budget <= 0:
+    chunk = -(-2 * (m + m // 8) // BLOCK)
+    pairs = np.empty((0, 2), np.int64)
+    while True:
+        drawn = pi[_indices(_words(state.topology, chunk), len(pi))].reshape(-1, 2)
+        pairs = np.concatenate((pairs, drawn))[:budget]
+        u, v = pairs[:, 0], pairs[:, 1]
+        keys = np.minimum(u, v) * n + np.maximum(u, v)
+        keys[u == v] = -1
+        _, first = np.unique(keys, return_index=True)
+        first.sort()
+        first = first[keys[first] >= 0]
+        if len(first) >= m:
+            break
+        if len(pairs) == budget:
             raise StallError(f"FCL could not place {m} distinct edges")
-        budget -= 1
-        u = rng.choice(pi)
-        v = rng.choice(pi)
-        if u == v or v in adj[u]:
-            continue
-        adj[u][v] = adj[v][u] = -1
-        eu.append(u)
-        ev.append(v)
-    es = state.es = [-1] * m
-    for idx in rng.sample(range(m), round(eta * m)):
-        u, v = eu[idx], ev[idx]
-        es[idx] = adj[u][v] = adj[v][u] = 1
+    ring = pairs[first[:m]]
+    del pairs, keys, u, v, first  # the draws, before the rows are built
+    rank = np.argsort(_words(state.signs, -(-m // BLOCK))[:m], kind="stable")
+    signs = np.full(m, -1, np.int64)
+    signs[rank[:round(eta * m)]] = 1
+    ids = state.ids
+    eu = state.eu = list(map(ids.__getitem__, ring[:, 0].tolist()))
+    ev = state.ev = list(map(ids.__getitem__, ring[:, 1].tolist()))
+    es = state.es = signs.tolist()
+    adj = state.adj
+    for a, b, s in zip(eu, ev, es):
+        adj[a][b] = adj[b][a] = s
     state.nbrs = [list(a) for a in adj]
-    return state
 
 
 def choose_wedge_sign(
@@ -145,7 +208,7 @@ def choose_wedge_sign(
     """Sign (+1 or -1) for a wedge-closure edge by balance majority over all
     common neighbors. The balanced branch picks the sign that makes more of
     the created triangles balanced; the other branch picks the opposite.
-    Ties fall back to a positive draw with probability alpha.
+    Ties fall back to a positive sign-stream coin with probability alpha.
     """
     adj_i, adj_j = state.adj[v_i], state.adj[v_j]
     # The intersection walks the smaller row; the count does not depend on
@@ -157,7 +220,7 @@ def choose_wedge_sign(
         raise NoCommonNeighborError(f"vertices {v_i}, {v_j} share no neighbor")
     b_minus = total - b_plus
     if b_plus == b_minus:
-        return 1 if state.rng.random() < alpha else -1
+        return 1 if next(state.coins) < alpha else -1
     majority_positive = b_plus > b_minus
     if not balanced_branch:
         majority_positive = not majority_positive
@@ -172,16 +235,18 @@ def _walk(state: GenerationState, v_i: int) -> Optional[tuple[int, int]]:
     row = state.nbrs[v_i]
     if not row:
         return None
-    v_k = state.rng.choice(row)
-    return v_k, state.rng.choice(state.nbrs[v_k])
+    hops = state.hops
+    v_k = row[int(next(hops) * len(row))]
+    row = state.nbrs[v_k]
+    return v_k, row[int(next(hops) * len(row))]
 
 
 def generation_step(state: GenerationState) -> None:
     """One insert/evict round; eviction happens only after a successful
     insertion so the live edge count stays exactly M.
     """
-    rng, adj = state.rng, state.adj
-    wedge_branch = rng.random() < state.rho
+    adj, coins = state.adj, state.coins
+    wedge_branch = next(state.hops) < state.rho
     walk_failures = 0
     for _ in range(STEP_RETRY_BUDGET):
         v_i, i_queued = state.next_vertex()
@@ -202,10 +267,10 @@ def generation_step(state: GenerationState) -> None:
                 walk_failures += 1
             else:
                 if state.balance:
-                    balanced = rng.random() < state.beta
+                    balanced = next(coins) < state.beta
                     sign = choose_wedge_sign(state, v_i, v_j, balanced, state.alpha)
                 else:
-                    sign = 1 if rng.random() < state.alpha else -1
+                    sign = 1 if next(coins) < state.alpha else -1
                 state.replace_oldest(v_i, v_j, sign)
                 state.steps_done += 1
                 return
@@ -220,7 +285,7 @@ def generation_step(state: GenerationState) -> None:
             state.park(v_i, i_queued)
             state.park(v_j, j_queued)
             continue
-        sign = 1 if rng.random() < state.alpha else -1
+        sign = 1 if next(coins) < state.alpha else -1
         state.replace_oldest(v_i, v_j, sign)
         state.steps_done += 1
         return
@@ -254,7 +319,8 @@ def _require_room(g_input: SignedGraph) -> None:
 
 def generate(g_input: SignedGraph, params: ModelParams, seed: int) -> SignedGraph:
     """Generate a synthetic signed network with the input's size and
-    sampling vector. Deterministic for a fixed (input, params, seed).
+    sampling vector. Deterministic for a fixed (input, params, seed); the
+    (u, v) columns depend only on (input, params.rho, seed).
     """
     return _generate(g_input, params, seed, balance=True)
 
@@ -263,12 +329,11 @@ def _generate(
     g_input: SignedGraph, params: ModelParams, seed: int, balance: bool
 ) -> SignedGraph:
     """The body of ``generate`` and ``baseline.stcl_generate``."""
-    rng = random.Random(seed)
     pi = build_sampling_vector(g_input)
     _require_room(g_input)
-    state = fcl_initialize(
-        pi, g_input.m, params.eta, rng, n=g_input.n,
-        rho=params.rho, alpha=params.alpha, beta=params.beta,
+    state = GenerationState(
+        n=g_input.n, pi=pi, target_m=g_input.m, rho=params.rho,
+        alpha=params.alpha, beta=params.beta, seed=seed, balance=balance,
     )
-    state.balance = balance
+    fcl_initialize(state, params.eta)
     return _run(state)

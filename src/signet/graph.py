@@ -150,13 +150,13 @@ def build_graph(
     )
 
 
-def build_sampling_vector(g: SignedGraph) -> list[int]:
+def build_sampling_vector(g: SignedGraph) -> np.ndarray:
     """Degree-proportional sampling vector: vertex i appears degree(i) times.
 
-    A uniform draw picks vertex i with probability d_i / 2M. It lists both
-    endpoints of each edge in edge order, so its length is exactly 2M and
-    isolated vertices never appear.
+    A uniform draw picks vertex i with probability d_i / 2M. It is an int64
+    column listing both endpoints of each edge in edge order, so its length
+    is exactly 2M and isolated vertices never appear.
     """
     if g.m == 0:
         raise EmptyGraphError("cannot build sampling vector of an empty graph")
-    return np.column_stack((g.u, g.v)).ravel().tolist()
+    return np.column_stack((g.u, g.v)).ravel()

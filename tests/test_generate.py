@@ -3,9 +3,13 @@ import itertools
 import math
 import os
 import random
+import subprocess
+import sys
 import tempfile
 from collections import Counter, OrderedDict, deque
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,16 +68,19 @@ def live(state):
 
 def audit(state):
     """Shadow consistency check between the ring of live edges and
-    adjacency: eu/ev/es agree with adj, and every row lists its vertex's
-    live edges oldest first."""
+    adjacency: eu/ev/es agree with adj, every row lists its vertex's live
+    edges oldest first, and every vertex id held is the shared ids object."""
     m = state.target_m
     assert len(state.eu) == len(state.ev) == len(state.es) == m
     assert 0 <= state.head < m
     for u, v, s in zip(state.eu, state.ev, state.es):
         assert u != v
+        assert u is state.ids[u] and v is state.ids[v]
         assert type(s) is int and s in (1, -1)
         assert state.adj[u][v] == s
         assert state.adj[v][u] == s
+    for held in (*state.nbrs, *(a.keys() for a in state.adj), state.pending):
+        assert all(x is state.ids[x] for x in held)
     assert len(live(state)) == m
     edge_count = sum(len(a) for a in state.adj) // 2
     assert edge_count == m
@@ -85,34 +92,53 @@ def audit(state):
         assert state.nbrs[u] == list(state.adj[u]) == rows[u]
 
 
+def fcl_state(pi, m, n, eta, seed, rho=0.0, alpha=0.5, beta=0.5):
+    """A state over sampling vector ``pi`` whose ring FCL filled."""
+    state = GenerationState(
+        n=n, pi=np.asarray(pi, dtype=np.int64), target_m=m, rho=rho,
+        alpha=alpha, beta=beta, seed=seed,
+    )
+    fcl_initialize(state, eta)
+    return state
+
+
+def graph_state(g, eta, seed, rho=0.0, alpha=0.5, beta=0.5):
+    """fcl_state over g's sampling vector, size and vertex count."""
+    return fcl_state(build_sampling_vector(g), g.m, g.n, eta, seed, rho, alpha, beta)
+
+
 def test_fcl_forced_k3():
     # pi over K3's vertices with M = 3: only three legal pairs exist.
-    pi = [0, 0, 1, 1, 2, 2]
-    state = fcl_initialize(pi, 3, eta=1.0, rng=random.Random(0), n=3)
+    state = fcl_state([0, 0, 1, 1, 2, 2], 3, n=3, eta=1.0, seed=0)
     assert set(live(state)) == {(0, 1), (0, 2), (1, 2)}
 
 
 def test_fcl_eta_one_all_positive():
     g = power_law_signed_graph(200, 600, seed=1)
-    pi = build_sampling_vector(g)
-    state = fcl_initialize(pi, g.m, eta=1.0, rng=random.Random(0), n=g.n)
+    state = graph_state(g, eta=1.0, seed=0)
     assert all(s == 1 for s in state.es)
     assert all(s == 1 for a in state.adj for s in a.values())
 
 
 def test_fcl_positive_count_is_rounded_eta_m():
     g = power_law_signed_graph(200, 600, seed=2)
-    pi = build_sampling_vector(g)
-    state = fcl_initialize(pi, g.m, eta=0.73, rng=random.Random(0), n=g.n)
+    state = graph_state(g, eta=0.73, seed=0)
     positives = sum(1 for s in state.es if s == 1)
     assert positives == round(0.73 * g.m)
     audit(state)
 
 
 def test_fcl_stall_on_impossible_target():
-    # Only one legal pair exists but two edges requested.
+    # Only one legal pair exists but two edges requested: FCL gives up after
+    # its 200 draws, which the first block of the topology stream holds.
+    state = GenerationState(
+        n=2, pi=np.array([0, 1]), target_m=2, rho=0.0, alpha=0.5, beta=0.5, seed=0,
+    )
     with pytest.raises(StallError):
-        fcl_initialize([0, 1], 2, eta=0.5, rng=random.Random(0), n=2)
+        fcl_initialize(state, 0.5)
+    one_block = random.Random("0:topology")
+    one_block.getrandbits(64 * G.BLOCK)
+    assert state.topology.getstate() == one_block.getstate()
 
 
 def test_fcl_endpoint_counts_match_expectation():
@@ -125,7 +151,7 @@ def test_fcl_endpoint_counts_match_expectation():
     runs = 20
     totals = Counter()
     for r in range(runs):
-        state = fcl_initialize(pi, m, eta=0.5, rng=random.Random(100 + r), n=g.n)
+        state = fcl_state(pi, m, g.n, eta=0.5, seed=100 + r)
         for u, v in zip(state.eu, state.ev):
             totals[u] += 1
             totals[v] += 1
@@ -141,10 +167,11 @@ def test_fcl_endpoint_counts_match_expectation():
         assert abs(mean - d) <= 4 * sigma + bias + 1.0
 
 
-def wedge_state(edges, n, rho=0.0, alpha=0.5, beta=1.0):
+def wedge_state(edges, n, rho=0.0, alpha=0.5, beta=1.0, seed=0):
+    """A state whose ring holds ``edges``, with an empty sampling vector."""
     state = GenerationState(
-        n=n, pi=[], target_m=len(edges), rho=rho, alpha=alpha, beta=beta,
-        rng=random.Random(0),
+        n=n, pi=np.empty(0, np.int64), target_m=len(edges), rho=rho,
+        alpha=alpha, beta=beta, seed=seed,
     )
     for u, v, s in edges:
         state.eu.append(u)
@@ -190,8 +217,7 @@ def test_walk_matches_enumerated_kernel():
     triples += [
         (cycle[i], cycle[i + 1], Sign.NEGATIVE) for i in range(6)
     ]
-    state = wedge_state(triples, 7)
-    state.rng = random.Random(11)
+    state = wedge_state(triples, 7, seed=11)
     start = 1
     expected = exact_two_hop_distribution(state, start)
     trials = 100_000
@@ -248,12 +274,8 @@ def test_choose_wedge_sign_no_common_neighbor():
 
 def test_rho_zero_sign_frequency_matches_alpha():
     g = power_law_signed_graph(300, 1200, seed=4)
-    pi = build_sampling_vector(g)
     alpha = 0.7
-    state = fcl_initialize(
-        pi, g.m, eta=0.5, rng=random.Random(9), n=g.n,
-        rho=0.0, alpha=alpha, beta=0.5,
-    )
+    state = graph_state(g, eta=0.5, seed=9, rho=0.0, alpha=alpha, beta=0.5)
     pos = 0
     steps = 5000
     for _ in range(steps):
@@ -268,11 +290,7 @@ def test_rho_zero_sign_frequency_matches_alpha():
 
 def test_rho_one_every_insertion_closes_a_triangle():
     g = power_law_signed_graph(100, 800, seed=5)
-    pi = build_sampling_vector(g)
-    state = fcl_initialize(
-        pi, g.m, eta=0.8, rng=random.Random(2), n=g.n,
-        rho=1.0, alpha=0.8, beta=0.9,
-    )
+    state = graph_state(g, eta=0.8, seed=2, rho=1.0, alpha=0.8, beta=0.9)
     for _ in range(300):
         # The step's eviction may remove the wedge's own edge, so the
         # common neighbour is looked for in the rows before the step.
@@ -287,10 +305,7 @@ def test_collision_pushes_vertices_to_queue_and_consumes_them_first():
     # Two vertices, one possible edge which already exists: the random
     # branch must collide, enqueue both endpoints, and consume the queue
     # before any new pi draw.
-    pi = [0, 1, 0, 1]
-    state = fcl_initialize(pi, 1, eta=1.0, rng=random.Random(0), n=3)
-    state.rho = 0.0
-    state.alpha = 1.0
+    state = fcl_state([0, 1, 0, 1], 1, n=3, eta=1.0, seed=0, rho=0.0, alpha=1.0)
     # Seed the adjacency with edge (0,1); inserting (0,1) again collides.
     assert (0, 1) in live(state)
     state.pending.append(0)
@@ -301,11 +316,7 @@ def test_collision_pushes_vertices_to_queue_and_consumes_them_first():
 
 def test_step_count_invariant_and_audit():
     g = power_law_signed_graph(200, 800, seed=6)
-    pi = build_sampling_vector(g)
-    state = fcl_initialize(
-        pi, g.m, eta=0.8, rng=random.Random(3), n=g.n,
-        rho=0.4, alpha=0.8, beta=0.9,
-    )
+    state = graph_state(g, eta=0.8, seed=3, rho=0.4, alpha=0.8, beta=0.9)
     for i in range(400):
         generation_step(state)
         if i % 50 == 0:
@@ -314,9 +325,7 @@ def test_step_count_invariant_and_audit():
 
 
 def test_eviction_is_fifo():
-    pi = list(range(10)) * 4
-    state = fcl_initialize(pi, 8, eta=0.5, rng=random.Random(4), n=10,
-                           rho=0.0, alpha=0.5, beta=0.5)
+    state = fcl_state(list(range(10)) * 4, 8, n=10, eta=0.5, seed=4)
     first_key = next(iter(live(state)))
     generation_step(state)
     assert first_key not in live(state)
@@ -366,15 +375,15 @@ def test_generate_iid_policy_sign_rate():
 
 
 def walk_oracle(state, v_i):
-    """The list-copy walk that _walk replaces: the same draws, indexing a
+    """The list-copy walk that _walk replaces: the same hops, indexing a
     fresh copy of adj's keys."""
     nbrs = state.adj[v_i]
     if not nbrs:
         return None
     keys = list(nbrs.keys())
-    v_k = keys[state.rng.randrange(len(keys))]
+    v_k = keys[int(next(state.hops) * len(keys))]
     keys_k = list(state.adj[v_k].keys())
-    return v_k, keys_k[state.rng.randrange(len(keys_k))]
+    return v_k, keys_k[int(next(state.hops) * len(keys_k))]
 
 
 def wedge_sign_oracle(state, v_i, v_j, balanced_branch, alpha):
@@ -393,7 +402,7 @@ def wedge_sign_oracle(state, v_i, v_j, balanced_branch, alpha):
         raise NoCommonNeighborError(f"vertices {v_i}, {v_j} share no neighbor")
     b_minus = total - b_plus
     if b_plus == b_minus:
-        return Sign.POSITIVE if state.rng.random() < alpha else Sign.NEGATIVE
+        return Sign.POSITIVE if next(state.coins) < alpha else Sign.NEGATIVE
     majority_positive = b_plus > b_minus
     if not balanced_branch:
         majority_positive = not majority_positive
@@ -441,40 +450,27 @@ def test_choose_wedge_sign_equals_balance_loop(data):
         st.sampled_from([Sign.POSITIVE, Sign.NEGATIVE]),
         min_size=len(chosen), max_size=len(chosen),
     ))
-    state = wedge_state([(u, v, s) for (u, v), s in zip(chosen, signs)], n)
+    edges = [(u, v, s) for (u, v), s in zip(chosen, signs)]
     v_i, v_j = data.draw(st.sampled_from(list(itertools.permutations(range(n), 2))))
     balanced = data.draw(st.booleans())
     alpha = data.draw(st.floats(0.0, 1.0))
     seed = data.draw(st.integers(0, 2**32 - 1))
 
-    def sign_and_rng(choose):
-        state.rng = random.Random(seed)
+    def sign_and_stream(choose):
+        """The sign, the next unread sign coin and the sign stream's state."""
+        state = wedge_state(edges, n, seed=seed)
         try:
             sign = choose(state, v_i, v_j, balanced, alpha)
         except NoCommonNeighborError:
             sign = None
-        return sign, state.rng.getstate()
+        return sign, next(state.coins), state.signs.getstate()
 
-    assert sign_and_rng(choose_wedge_sign) == sign_and_rng(wedge_sign_oracle)
-
-
-def test_choice_draws_as_randrange_index():
-    # next_vertex, fcl_initialize and _walk draw with rng.choice; every
-    # seed's output stays that of the randrange-indexed draws only while
-    # the two consume the generator identically.
-    a, b = random.Random(3), random.Random(3)
-    for size in (1, 2, 3, 7, 8, 9, 1000, 2**20 + 1):
-        seq = range(size)
-        for _ in range(50):
-            assert a.choice(seq) == seq[b.randrange(size)]
+    assert sign_and_stream(choose_wedge_sign) == sign_and_stream(wedge_sign_oracle)
 
 
 def test_rows_released_before_output_build(monkeypatch):
     g = power_law_signed_graph(100, 300, seed=13)
-    state = fcl_initialize(
-        build_sampling_vector(g), g.m, eta=0.8, rng=random.Random(5), n=g.n,
-        rho=0.5, alpha=0.8, beta=0.9,
-    )
+    state = graph_state(g, eta=0.8, seed=5, rho=0.5, alpha=0.8, beta=0.9)
     build = G.build_graph
 
     def build_after_release(triples, n):
@@ -485,17 +481,48 @@ def test_rows_released_before_output_build(monkeypatch):
     assert G._run(state).m == g.m
 
 
+class WordStream:
+    """One reader of a generator stream, word by word: whenever its buffer
+    runs dry it takes the next block of BLOCK words from ``rng``, each one
+    ``getrandbits(64)``. Iterating it gives 53-bit uniforms in [0, 1)."""
+
+    def __init__(self, rng):
+        self.rng, self.buf = rng, deque()
+
+    def word(self):
+        if not self.buf:
+            self.buf.extend(self.rng.getrandbits(64) for _ in range(G.BLOCK))
+        return self.buf.popleft()
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        return (self.word() >> 11) / 2**53
+
+    def index(self, d):
+        return int(next(self) * d)
+
+
 class TupleKeyState:
     """The generator state that the ring replaces, kept as an oracle: an
     OrderedDict of live edges keyed by canonical (u, v) tuples, Sign values,
-    and FIFO rows appended on every insert, FCL included."""
+    FIFO rows appended on every insert, FCL included, and the two streams
+    read word by word."""
 
-    def __init__(self, n, pi, target_m, rho, alpha, beta, eta, rng, sign_policy):
+    def __init__(self, n, pi, target_m, rho, alpha, beta, eta, seed, sign_policy):
         # sign_policy IID draws every inserted edge's sign positive with
         # probability eta; BALANCE follows the wedge-closure balance rules.
         self.n, self.pi, self.target_m = n, pi, target_m
         self.rho, self.alpha, self.beta, self.eta = rho, alpha, beta, eta
-        self.rng, self.sign_policy = rng, sign_policy
+        self.sign_policy = sign_policy
+        self.topology = random.Random(f"{seed}:topology")
+        self.signs = random.Random(f"{seed}:signs")
+        # FCL reads the topology stream by itself first; the rounds' readers
+        # start where it stopped.
+        self.picks = WordStream(self.topology)
+        self.hops = WordStream(self.topology)
+        self.coins = WordStream(self.signs)
         self.live = OrderedDict()
         self.adj = [dict() for _ in range(n)]
         self.nbrs = [[] for _ in range(n)]
@@ -519,46 +546,55 @@ class TupleKeyState:
     def next_vertex(self):
         if self.pending:
             return self.pending.popleft(), True
-        return self.pi[self.rng.randrange(len(self.pi))], False
+        return self.pi[self.picks.index(len(self.pi))], False
 
     def park(self, v, from_queue):
         if not from_queue:
             self.pending.append(v)
 
 
-def oracle_fcl(pi, m, eta, rng, n, rho, alpha, beta, sign_policy):
-    state = TupleKeyState(n, pi, m, rho, alpha, beta, eta, rng, sign_policy)
-    budget = 100 * m
+def oracle_fcl(state):
+    """One pair at a time: keep each new non-loop pair until M are live,
+    within 100 * M draws; then the round(eta * M) slots whose sign words
+    rank lowest (ties by slot) turn positive."""
+    pi, m = state.pi, state.target_m
+    words = WordStream(state.topology)
+    drawn = 0
     while len(state.live) < m:
-        if budget <= 0:
+        if drawn == 100 * m:
             raise StallError(f"FCL could not place {m} distinct edges")
-        budget -= 1
-        u = pi[rng.randrange(len(pi))]
-        v = pi[rng.randrange(len(pi))]
+        drawn += 1
+        u = pi[words.index(len(pi))]
+        v = pi[words.index(len(pi))]
         if u == v or v in state.adj[u]:
             continue
         state.insert(u, v, Sign.NEGATIVE)
+    # fcl_initialize reads whole chunks of ceil(2 (M + M // 8) / BLOCK)
+    # blocks, so the rounds start after the rest of the last chunk.
+    chunk = G.BLOCK * -(-2 * (m + m // 8) // G.BLOCK)
+    for _ in range(-2 * drawn % chunk):
+        words.word()
+    rank = [state.signs.getrandbits(64) for _ in range(G.BLOCK * -(-m // G.BLOCK))][:m]
     keys = list(state.live.keys())
-    for idx in rng.sample(range(m), round(eta * m)):
+    for idx in sorted(range(m), key=lambda i: (rank[i], i))[:round(state.eta * m)]:
         u, v = keys[idx]
         state.live[(u, v)] = Sign.POSITIVE
         state.adj[u][v] = Sign.POSITIVE
         state.adj[v][u] = Sign.POSITIVE
-    return state
 
 
 def oracle_step(state):
-    rng = state.rng
+    hops, coins = state.hops, state.coins
 
     def sign_of_new_edge(wedge, v_i, v_j):
         if state.sign_policy == IID:
-            return Sign.POSITIVE if rng.random() < state.eta else Sign.NEGATIVE
+            return Sign.POSITIVE if next(coins) < state.eta else Sign.NEGATIVE
         if wedge:
-            balanced = rng.random() < state.beta
+            balanced = next(coins) < state.beta
             return wedge_sign_oracle(state, v_i, v_j, balanced, state.alpha)
-        return Sign.POSITIVE if rng.random() < state.alpha else Sign.NEGATIVE
+        return Sign.POSITIVE if next(coins) < state.alpha else Sign.NEGATIVE
 
-    wedge_branch = rng.random() < state.rho
+    wedge_branch = next(hops) < state.rho
     walk_failures = 0
     for _ in range(100):
         v_i, i_queued = state.next_vertex()
@@ -568,8 +604,8 @@ def oracle_step(state):
                 state.park(v_i, i_queued)
                 wedge_branch = False
                 continue
-            v_k = row[rng.randrange(len(row))]
-            v_j = state.nbrs[v_k][rng.randrange(len(state.nbrs[v_k]))]
+            v_k = row[hops.index(len(row))]
+            v_j = state.nbrs[v_k][hops.index(len(state.nbrs[v_k]))]
             if v_j == v_i:
                 state.park(v_i, i_queued)
                 walk_failures += 1
@@ -609,10 +645,11 @@ def oracle_state_run(g, params, seed, policy):
         params = ModelParams(
             rho=params.rho, alpha=0.0, beta=0.0, eta=compute_eta(g), delta_b=0.0
         )
-    state = oracle_fcl(
-        build_sampling_vector(g), g.m, params.eta, random.Random(seed), g.n,
-        params.rho, params.alpha, params.beta, policy,
+    state = TupleKeyState(
+        g.n, build_sampling_vector(g).tolist(), g.m, params.rho, params.alpha,
+        params.beta, params.eta, seed, policy,
     )
+    oracle_fcl(state)
     for _ in range(g.m):
         oracle_step(state)
     return build_graph([(u, v, s) for (u, v), s in state.live.items()], n=g.n).edges
@@ -746,11 +783,133 @@ def test_generated_graph_invariants(g, rho, alpha, beta, eta, seed, policy):
 @settings(max_examples=150, deadline=None)
 def test_fcl_leaves_rounded_eta_m_positive_slots(g, eta, seed):
     try:
-        state = fcl_initialize(
-            build_sampling_vector(g), g.m, eta, random.Random(seed), n=g.n
-        )
+        state = graph_state(g, eta, seed)
     except StallError:
         return
     assert state.es.count(1) == round(eta * g.m)
     assert state.es.count(-1) == g.m - round(eta * g.m)
     audit(state)
+
+
+def test_state_holds_shared_vertex_ints():
+    # Ids above 256 are not interned by Python, so a fresh int per endpoint
+    # would fail audit's identity checks here.
+    g = power_law_signed_graph(2000, 6000, seed=16)
+    state = graph_state(g, eta=0.8, seed=6, rho=0.5, alpha=0.8, beta=0.9)
+    audit(state)
+    for _ in range(3000):
+        generation_step(state)
+    audit(state)
+
+
+SIGN_PARAMS = [(0.8, 0.9, 0.85), (0.1, 0.2, 0.3), (1.0, 0.0, 1.0), (0.0, 1.0, 0.0)]
+
+
+@pytest.mark.parametrize("name", ["power-law", "hub-heavy", "star"])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_topology_depends_only_on_input_rho_and_seed(name, seed):
+    g = ORACLE_GRAPHS[name]()
+    runs = [generate(g, make_params(rho=0.6, alpha=a, beta=b, eta=e), seed)
+            for a, b, e in SIGN_PARAMS]
+    runs.append(stcl_generate(g, 0.6, seed))
+    signs = set()
+    for out in runs:
+        assert np.array_equal(out.u, runs[0].u) and np.array_equal(out.v, runs[0].v)
+        signs.add(out.sign.tobytes())
+    assert len(signs) > 1
+    assert not np.array_equal(generate(g, make_params(rho=0.2), seed).u, runs[0].u)
+
+
+@given(small_graphs(), unit, unit, unit, unit, unit, unit, unit,
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_sign_parameters_never_change_topology(g, rho, a1, b1, e1, a2, b2, e2, seed):
+    def topology(run):
+        try:
+            out = run()
+        except SignetError as exc:
+            return type(exc)
+        return out.u.tolist(), out.v.tolist()
+
+    first = topology(lambda: generate(g, make_params(rho, a1, b1, e1), seed))
+    assert first == topology(lambda: generate(g, make_params(rho, a2, b2, e2), seed))
+    assert first == topology(lambda: stcl_generate(g, rho, seed))
+
+
+@pytest.mark.parametrize(
+    "d", [1, 2] + [2**k + e for k in range(1, 34) for e in (-1, 0, 1)]
+)
+def test_float_to_index_stays_below_d(d):
+    # The largest uniform, from an all-ones word, is 1 - 2**-53; its index
+    # must be d - 1, for the step loop's int(x * d) and for numpy's draws.
+    top = np.array([2**64 - 1], dtype="<u8")
+    x = 1 - 2**-53
+    assert G._uniforms(top)[0] == x
+    assert int(x * d) == d - 1
+    assert G._indices(top, d)[0] == d - 1
+
+
+@given(
+    st.lists(st.integers(0, 7), min_size=1, max_size=30),
+    st.integers(0, 12), unit, st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_fcl_yields_distinct_pairs_and_rounded_eta_m_positives(pi, m, eta, seed):
+    # A sampling vector with fewer than M legal pairs must stall.
+    legal = {(u, v) for u in set(pi) for v in set(pi) if u < v}
+    try:
+        state = fcl_state(pi, m, n=8, eta=eta, seed=seed)
+    except StallError:
+        return
+    assert len(legal) >= m
+    pairs = [(min(u, v), max(u, v)) for u, v in zip(state.eu, state.ev)]
+    assert len(pairs) == len(set(pairs)) == m
+    assert set(pairs) <= legal
+    assert state.es.count(1) == round(eta * m)
+    assert state.es.count(-1) == m - round(eta * m)
+
+
+def test_generator_leaves_numpy_random_unimported():
+    # numpy imports numpy.random lazily, and loading it costs about 6 MB of
+    # resident memory; the generator draws from random.Random only.
+    code = (
+        "import sys\n"
+        "from signet.baseline import stcl_generate\n"
+        "from signet.generate import generate\n"
+        "from signet.graph import build_graph\n"
+        "from signet.learn import ModelParams\n"
+        "edges = [(v, (v * 7 + k) % 300, 1 - 2 * (k % 2)) for v in range(300)\n"
+        "         for k in (1, 2, 3) if v < (v * 7 + k) % 300]\n"
+        "g = build_graph(edges)\n"
+        "generate(g, ModelParams(rho=0.5, alpha=0.8, beta=0.9, eta=0.8, delta_b=0.8), 1)\n"
+        "stcl_generate(g, 0.5, 1)\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(importlib.import_module("signet").__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
+
+
+def near_complete_graph(k):
+    """K_k minus the edge (0, 1): exactly one free pair."""
+    return build_graph(
+        [(u, v, Sign.POSITIVE) for u, v in itertools.combinations(range(k), 2)
+         if (u, v) != (0, 1)]
+    )
+
+
+@pytest.mark.parametrize("k", range(4, 9))
+@pytest.mark.parametrize("policy", POLICIES)
+def test_near_complete_input_gives_graph_or_typed_error(k, policy):
+    g = near_complete_graph(k)
+    params = make_params(rho=0.5, alpha=0.5, beta=0.5, eta=1.0)
+    for seed in range(10):
+        try:
+            out = run_policy(g, params, seed, policy)
+        except SignetError:
+            continue
+        assert out.m == g.m and out.n == g.n
+        assert len({(u, v) for u, v, _ in out.edges}) == g.m
