@@ -1,5 +1,9 @@
 """Command-line interface tying the pipeline together:
 analyze -> learn -> generate -> evaluate, plus a parameter-grid sweep.
+
+Each stage is a plain function of the input graph; a command reads the
+input once and ``pipeline`` passes its one graph to every stage, so the
+graph's memoized stats serve the whole command.
 """
 
 from __future__ import annotations
@@ -73,7 +77,10 @@ def main():
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
 def analyze(input_path, out_dir):
     """Measure a network and emit stats JSON plus plot-data TSVs."""
-    g = read_graph(input_path)
+    _analyze(read_graph(input_path), input_path, out_dir)
+
+
+def _analyze(g, input_path, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     stats = stats_report(g)
     _write_json(
@@ -118,7 +125,10 @@ def analyze(input_path, out_dir):
 @_em_iters
 def learn(input_path, out_path, seed, em_samples, em_iters):
     """Learn model parameters from a network."""
-    g = read_graph(input_path)
+    _learn(read_graph(input_path), out_path, seed, em_samples, em_iters)
+
+
+def _learn(g, out_path, seed, em_samples, em_iters) -> ModelParams:
     params = learn_parameters(g, _learn_config(seed, em_samples, em_iters))
     payload = params.to_dict()
     payload["config"] = {"seed": seed, "em_samples": em_samples, "em_iters": em_iters}
@@ -126,6 +136,7 @@ def learn(input_path, out_path, seed, em_samples, em_iters):
     click.echo(
         f"learned rho={params.rho:.4f} alpha={params.alpha:.4f} beta={params.beta:.4f}"
     )
+    return params
 
 
 def _read_params(path) -> ModelParams:
@@ -154,12 +165,10 @@ def _generate_runs(g, params, runs, seed, out_dir, policy):
     else:
         make = partial(run_generate, g, params)
     os.makedirs(out_dir, exist_ok=True)
-    paths = []
     for r in range(runs):
         run_seed = seed + r
         g_out = make(run_seed)
-        path = os.path.join(out_dir, f"generated_{r:03d}.tsv")
-        write_canonical(g_out, path)
+        write_canonical(g_out, os.path.join(out_dir, f"generated_{r:03d}.tsv"))
         _write_json(
             os.path.join(out_dir, f"manifest_{r:03d}.json"),
             {
@@ -171,8 +180,7 @@ def _generate_runs(g, params, runs, seed, out_dir, policy):
                 "m": g_out.m,
             },
         )
-        paths.append(path)
-    return paths
+    click.echo(f"wrote {runs} networks to {out_dir}")
 
 
 @main.command()
@@ -185,10 +193,8 @@ def _generate_runs(g, params, runs, seed, out_dir, policy):
               show_default=True, help="iid = STCL baseline signs")
 def generate(input_path, params_path, runs, seed, outdir, policy):
     """Generate R synthetic networks; run r uses seed S+r."""
-    g = read_graph(input_path)
-    params = _read_params(params_path)
-    paths = _generate_runs(g, params, runs, seed, outdir, policy)
-    click.echo(f"wrote {len(paths)} networks to {outdir}")
+    _generate_runs(read_graph(input_path), _read_params(params_path), runs, seed, outdir,
+                   policy)
 
 
 @main.command()
@@ -199,7 +205,10 @@ def generate(input_path, params_path, runs, seed, outdir, policy):
               show_default=True)
 def evaluate(input_path, generated_dir, out_path, fmt):
     """Compare generated networks in a directory against the input."""
-    g = read_graph(input_path)
+    _evaluate(read_graph(input_path), generated_dir, out_path, fmt)
+
+
+def _evaluate(g, generated_dir, out_path, fmt):
     gen_paths = sorted(
         os.path.join(generated_dir, f)
         for f in os.listdir(generated_dir)
@@ -284,19 +293,15 @@ def sweep(input_path, alpha_grid, beta_grid, runs, seed, out_path, em_samples, e
 @click.option("--seed", default=42, show_default=True)
 @_em_samples
 @_em_iters
-@click.pass_context
-def pipeline(ctx, input_path, outdir, runs, seed, em_samples, em_iters):
+def pipeline(input_path, outdir, runs, seed, em_samples, em_iters):
     """analyze -> learn -> generate -> evaluate in one command."""
     os.makedirs(outdir, exist_ok=True)
-    ctx.invoke(analyze, input_path=input_path, out_dir=os.path.join(outdir, "analysis"))
-    params_path = os.path.join(outdir, "params.json")
-    ctx.invoke(learn, input_path=input_path, out_path=params_path,
-               seed=seed, em_samples=em_samples, em_iters=em_iters)
+    g = read_graph(input_path)
+    _analyze(g, input_path, os.path.join(outdir, "analysis"))
+    params = _learn(g, os.path.join(outdir, "params.json"), seed, em_samples, em_iters)
     gen_dir = os.path.join(outdir, "generated")
-    ctx.invoke(generate, input_path=input_path, params_path=params_path,
-               runs=runs, seed=seed, outdir=gen_dir, policy="balance")
-    ctx.invoke(evaluate, input_path=input_path, generated_dir=gen_dir,
-               out_path=os.path.join(outdir, "report.json"), fmt="json")
+    _generate_runs(g, params, runs, seed, gen_dir, "balance")
+    _evaluate(g, gen_dir, os.path.join(outdir, "report.json"), "json")
 
 
 if __name__ == "__main__":

@@ -13,13 +13,16 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
 
 from .errors import DuplicateEdgeError, EmptyGraphError, SelfLoopError
+
+if TYPE_CHECKING:
+    from .metrics import GraphStats
 
 
 class Sign(enum.IntEnum):
@@ -51,6 +54,8 @@ class SignedGraph:
     v: np.ndarray  # int64, larger endpoint
     sign: np.ndarray  # int8, +1 or -1
     labels: Optional[tuple] = None
+    # The graph's measured properties, set once by ``metrics.stats_report``.
+    _stats: Optional[GraphStats] = field(default=None, init=False, repr=False)
 
     @property
     def m(self) -> int:

@@ -2,10 +2,11 @@
 closed-form updates for the sign-correction and balance parameters.
 
 The EM's wedge likelihoods do not depend on rho, so they are computed once
-per edge orientation from the shared triangle listing (``metrics``), with
-sums taken in the same order as the scalar definition
-``em_edge_responsibility``; each iteration then scores its edge sample with
-array expressions and gives the same rho, bit for bit.
+per edge orientation, with sums taken in the same order as the scalar
+definition ``em_edge_responsibility``; each iteration then scores its edge
+sample with array expressions and gives the same rho, bit for bit.
+``learn_parameters`` lists the input's triangles once (``metrics``) and
+reads both the census and the wedge likelihoods from that listing.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .estimators import (
     delta_triangle_fast,
 )
 from .graph import SignedGraph
-from .metrics import compute_eta, list_triangles, triangle_census
+from .metrics import TriangleList, compute_eta, list_triangles, triangle_census
 
 log = logging.getLogger(__name__)
 
@@ -116,15 +117,15 @@ def em_edge_responsibility(
     return w / (w + r)
 
 
-def _wedge_terms(g: SignedGraph) -> np.ndarray:
-    """Sorted ``slot * M + key`` composites, one per wedge-likelihood term.
+def _wedge_terms(g: SignedGraph, tri: TriangleList) -> np.ndarray:
+    """Sorted ``slot * M + key`` composites, one per wedge-likelihood term
+    of ``g``'s triangle listing ``tri``.
 
     Slot 2e + o is edge e conditioned on its smaller (o = 0) or larger
     (o = 1) endpoint v_i. A triangle (i, j, k) gives slot (i -> j) the term
     1/(d_i d_k), keyed by the index of edge (i, k): k's place in i's row.
     """
     m = g.m
-    tri = list_triangles(g)
     t = len(tri.x)
     terms = np.empty(6 * t, dtype=np.int64)
     # (edge i-j, v_i, v_j, edge i-k) for the six orientations of each triangle.
@@ -141,8 +142,9 @@ def _wedge_terms(g: SignedGraph) -> np.ndarray:
     return terms
 
 
-def wedge_likelihoods(g: SignedGraph) -> np.ndarray:
-    """Wedge likelihood of every edge orientation, indexed by slot 2e + o.
+def wedge_likelihoods(g: SignedGraph, tri: TriangleList) -> np.ndarray:
+    """Wedge likelihood of every edge orientation, indexed by slot 2e + o,
+    from ``g``'s triangle listing ``tri``.
 
     Equal bit for bit to the ``wedge`` sum of ``em_edge_responsibility``:
     each slot's terms are summed by ``np.bincount`` in key order, which is
@@ -151,7 +153,7 @@ def wedge_likelihoods(g: SignedGraph) -> np.ndarray:
     """
     m = g.m
     deg = g.degrees()
-    terms = _wedge_terms(g)
+    terms = _wedge_terms(g, tri)
     wedge = np.zeros(2 * m)
     start = 0
     while start < len(terms):
@@ -169,8 +171,11 @@ def wedge_likelihoods(g: SignedGraph) -> np.ndarray:
     return wedge
 
 
-def em_learn_rho(g: SignedGraph, cfg: LearnConfig) -> tuple[float, list[dict]]:
-    """EM iteration: average responsibilities over a uniform edge sample.
+def em_learn_rho(
+    g: SignedGraph, cfg: LearnConfig, wedge: np.ndarray
+) -> tuple[float, list[dict]]:
+    """EM iteration: average responsibilities over a uniform edge sample,
+    given the wedge likelihoods (``wedge_likelihoods``) of ``g``.
 
     The conditioning endpoint of each sampled edge is chosen uniformly.
     Returns the final rho (clamped away from {0, 1}) and the trace.
@@ -179,7 +184,6 @@ def em_learn_rho(g: SignedGraph, cfg: LearnConfig) -> tuple[float, list[dict]]:
         raise EmptyGraphError("cannot learn on an empty graph")
     rng = random.Random(cfg.seed)
     s = cfg.sample_size(g.m)
-    wedge = wedge_likelihoods(g)
     # Random-insertion likelihood d_j / 2M of the far endpoint, per slot.
     deg = g.degrees()
     far = np.stack([deg[g.v], deg[g.u]], axis=1)
@@ -236,18 +240,24 @@ def learn_parameters(g: SignedGraph, cfg: Optional[LearnConfig] = None) -> Model
     the beta and alpha closed-form updates, each clamped to [0, 1], until
     they stop moving. A final value that left [-CLAMP_EPS, 1 + CLAMP_EPS]
     before its clamp is warned about once.
+
+    The triangles are listed once, for the census and the wedge
+    likelihoods, and the listing is released before EM iterates.
     """
     cfg = cfg or LearnConfig()
     warnings: list[str] = []
     eta = compute_eta(g)
-    census = triangle_census(g)
+    tri = list_triangles(g)
+    census = triangle_census(g, tri)
     delta_b = census.delta_b
     if census.total == 0:
         msg = "input graph has no triangles; delta_b set to 0"
         log.warning(msg)
         warnings.append(msg)
 
-    rho, em_trace = em_learn_rho(g, cfg)
+    wedge = wedge_likelihoods(g, tri)
+    del tri
+    rho, em_trace = em_learn_rho(g, cfg, wedge)
 
     degrees = g.degrees()
     dr = delta_random_fast(degrees, g.m)

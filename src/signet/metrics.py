@@ -6,13 +6,16 @@ triangle counts feeding local clustering), the balanced-triangle fraction
 
 Triangles come from one vectorised listing (``list_triangles``) over the
 graph's edge columns; the census here and the EM wedge likelihoods in
-``learn`` both read it.
+``learn`` both read it. ``stats_report`` measures a graph once: its result
+is kept on the graph, so analyze, evaluate and sweep share one measurement
+of the input. The listing itself is not kept.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -65,7 +68,7 @@ class GraphStats:
     degrees: tuple[int, ...]
     census: TriangleCensus
     clustering: tuple[float, ...]
-    degree_histogram: dict[int, int]
+    degree_histogram: MappingProxyType  # degree -> vertex count, read-only
     n: int
     m: int
     m_positive: int
@@ -139,36 +142,35 @@ def list_triangles(g: SignedGraph) -> TriangleList:
     )
 
 
-def triangle_census(g: SignedGraph, per_vertex: list[int] | None = None) -> TriangleCensus:
-    """Count each triangle once, classified by its three edge signs.
-
-    Runs on the shared forward listing (``list_triangles``): the census is
-    a bincount of each triangle's negative-edge count. When ``per_vertex``
-    is passed (a zeroed list of length n) it is filled with the
-    sign-agnostic triangle count through each vertex.
+def triangle_census(g: SignedGraph, tri: TriangleList) -> TriangleCensus:
+    """Count each triangle of ``g``'s listing ``tri`` once, classified by
+    its three edge signs: a bincount of each triangle's negative-edge count.
     """
-    tri = list_triangles(g)
     neg = g.sign < 0
     counts = np.bincount(
         neg[tri.xa].astype(np.int64) + neg[tri.xb] + neg[tri.ab], minlength=4
     ).tolist()
-    if per_vertex is not None:
-        through = np.bincount(np.concatenate([tri.x, tri.a, tri.b]), minlength=g.n)
-        per_vertex[:] = (through + np.asarray(per_vertex, dtype=np.int64)).tolist()
     return TriangleCensus(ppp=counts[0], ppm=counts[1], pmm=counts[2], mmm=counts[3])
 
 
 def stats_report(g: SignedGraph) -> GraphStats:
-    """All measured properties from one triangle listing. ``clustering``
-    is each vertex's c_i = 2 T_i / (d_i (d_i - 1)), 0 when d_i < 2."""
-    per_vertex = [0] * g.n
-    census = triangle_census(g, per_vertex=per_vertex)
+    """All measured properties from one triangle listing, computed on the
+    first call for ``g`` and returned again by every later one.
+    ``clustering`` is each vertex's c_i = 2 T_i / (d_i (d_i - 1)), 0 when
+    d_i < 2."""
+    if g._stats is None:
+        object.__setattr__(g, "_stats", _measure(g))
+    return g._stats
+
+
+def _measure(g: SignedGraph) -> GraphStats:
+    tri = list_triangles(g)
+    census = triangle_census(g, tri)
+    through = np.bincount(np.concatenate([tri.x, tri.a, tri.b]), minlength=g.n)
+    del tri
     d = g.degrees()
     clustering = np.zeros(g.n)
-    np.divide(
-        2.0 * np.asarray(per_vertex, dtype=np.int64), d * (d - 1),
-        out=clustering, where=d >= 2,
-    )
+    np.divide(2.0 * through, d * (d - 1), out=clustering, where=d >= 2)
     degrees = d.tolist()
     return GraphStats(
         eta=compute_eta(g),
@@ -176,7 +178,7 @@ def stats_report(g: SignedGraph) -> GraphStats:
         degrees=tuple(degrees),
         census=census,
         clustering=tuple(clustering.tolist()),
-        degree_histogram=dict(Counter(degrees)),
+        degree_histogram=MappingProxyType(dict(Counter(degrees))),
         n=g.n,
         m=g.m,
         m_positive=g.m_positive,

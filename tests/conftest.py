@@ -5,6 +5,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
+from signet import learn, metrics
 from signet.graph import Sign, SignedGraph, build_graph
 
 
@@ -163,3 +164,18 @@ def k3_positive() -> SignedGraph:
 def path3() -> SignedGraph:
     """Path 0-1-2, both edges positive."""
     return build_graph([(0, 1, Sign.POSITIVE), (1, 2, Sign.POSITIVE)])
+
+
+@pytest.fixture
+def listings(monkeypatch) -> list[SignedGraph]:
+    """Every graph whose triangles metrics or learn lists, in call order."""
+    listed = []
+    list_triangles = metrics.list_triangles
+
+    def counted(g):
+        listed.append(g)
+        return list_triangles(g)
+
+    monkeypatch.setattr(metrics, "list_triangles", counted)
+    monkeypatch.setattr(learn, "list_triangles", counted)
+    return listed

@@ -4,6 +4,7 @@ import os
 import pytest
 from click.testing import CliRunner
 
+from signet import cli
 from signet.cli import main
 from signet.graph import Sign
 from signet.io import read_graph, write_canonical
@@ -193,6 +194,64 @@ def test_pipeline_end_to_end(runner, network_file, tmp_path):
     report = json.loads((outdir / "report.json").read_text())
     for v in report["mean"].values():
         assert v == v  # no NaN
+
+
+def counted_reads(monkeypatch):
+    """Every graph the CLI reads, in order."""
+    graphs = []
+
+    def read(path):
+        graphs.append(read_graph(path))
+        return graphs[-1]
+
+    monkeypatch.setattr(cli, "read_graph", read)
+    return graphs
+
+
+def test_sweep_measures_the_input_once(runner, network_file, tmp_path, monkeypatch,
+                                      listings):
+    reads = counted_reads(monkeypatch)
+    result = runner.invoke(
+        main,
+        ["sweep", network_file, "--alpha-grid", "0.7,0.9", "--beta-grid", "0.5,0.9",
+         "--runs", "1", "--out", str(tmp_path / "sweep.tsv")],
+    )
+    assert result.exit_code == 0, result.output
+    (g,) = reads
+    # learn lists once; the first grid point measures the input's stats,
+    # and the other three reuse them.
+    assert sum(h is g for h in listings) == 2
+    assert len(listings) == 2 + 4
+
+
+def test_pipeline_reads_the_input_once_and_matches_the_commands(
+    runner, network_file, tmp_path, monkeypatch
+):
+    reads = counted_reads(monkeypatch)
+    piped = tmp_path / "piped"
+    result = runner.invoke(
+        main, ["pipeline", network_file, "--outdir", str(piped), "--runs", "2"]
+    )
+    assert result.exit_code == 0, result.output
+    assert len(reads) == 1 + 2  # the input, then each generated network
+    steps = tmp_path / "steps"
+    outputs = []
+    for args in (
+        ["analyze", network_file, "--out", str(steps / "analysis")],
+        ["learn", network_file, "--out", str(steps / "params.json")],
+        ["generate", network_file, "--params", str(steps / "params.json"),
+         "--runs", "2", "--outdir", str(steps / "generated")],
+        ["evaluate", network_file, "--generated-dir", str(steps / "generated"),
+         "--out", str(steps / "report.json")],
+    ):
+        step = runner.invoke(main, args)
+        assert step.exit_code == 0, step.output
+        outputs.append(step.output.replace(str(steps), str(piped)))
+    assert result.output == "".join(outputs)
+    files = sorted(p.relative_to(piped) for p in piped.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(steps) for p in steps.rglob("*") if p.is_file())
+    for f in files:
+        assert (piped / f).read_bytes() == (steps / f).read_bytes(), f
 
 
 def test_signet_error_is_one_line_nonzero_exit(runner, tmp_path):

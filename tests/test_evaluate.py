@@ -6,7 +6,8 @@ import pytest
 from signet.evaluate import EvaluationReport, evaluate, ks_statistic, triangle_l1
 from signet.generate import generate
 from signet.io import write_canonical
-from signet.learn import ModelParams
+from signet.learn import LearnConfig, ModelParams, learn_parameters
+from signet.metrics import stats_report
 from tests.conftest import power_law_signed_graph
 
 
@@ -51,6 +52,17 @@ def test_evaluate_fields_all_finite():
             assert np.isfinite(v)
     for v in report.mean.values():
         assert np.isfinite(v)
+
+
+def test_pipeline_lists_the_input_twice(listings):
+    # Once for its stats, once in learn; evaluate reuses the stats.
+    g = power_law_signed_graph(300, 1200, seed=4, eta=0.85)
+    stats = stats_report(g)
+    params = learn_parameters(g, LearnConfig(seed=1))
+    nets = [generate(g, params, seed=s) for s in (1, 2)]
+    report = evaluate(g, nets)
+    assert listings == [g, g, *nets]
+    assert report.input_stats["triangles_total"] == stats.census.total
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch):

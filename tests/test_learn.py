@@ -27,6 +27,11 @@ from signet.learn import (
 from tests.conftest import neighbor_rows, power_law_signed_graph, random_signed_graph
 
 
+def em(g, cfg):
+    """em_learn_rho on g's own wedge likelihoods."""
+    return em_learn_rho(g, cfg, learn.wedge_likelihoods(g, metrics.list_triangles(g)))
+
+
 def test_responsibility_no_common_neighbor(path3):
     assert em_edge_responsibility(path3, 0, 1, 0.5) == 0.0
 
@@ -56,14 +61,14 @@ def test_responsibility_in_unit_interval():
 def test_em_triangle_free_graph_drives_rho_to_floor():
     # Star graph: no edge has a common neighbor.
     g = build_graph([(0, i, Sign.POSITIVE) for i in range(1, 30)])
-    rho, trace = em_learn_rho(g, LearnConfig(seed=1))
+    rho, trace = em(g, LearnConfig(seed=1))
     assert rho == pytest.approx(RHO_EPS)
     assert trace[-1]["delta"] < 1e-4
 
 
 def test_em_empty_graph():
     with pytest.raises(EmptyGraphError):
-        em_learn_rho(build_graph([], n=2), LearnConfig())
+        em(build_graph([], n=2), LearnConfig())
 
 
 def test_em_converges_within_budget():
@@ -75,7 +80,7 @@ def test_em_converges_within_budget():
             triples.add((min(u, v), max(u, v)))
     g = build_graph([(u, v, Sign.POSITIVE) for u, v in triples])
     cfg = LearnConfig(seed=5)
-    rho, trace = em_learn_rho(g, cfg)
+    rho, trace = em(g, cfg)
     assert trace[-1]["delta"] < cfg.em_tol
     assert len(trace) <= cfg.em_max_iters
 
@@ -283,12 +288,12 @@ def test_em_equals_per_edge_oracle_bit_for_bit(name, sample, seed, monkeypatch):
         LearnConfig(seed=seed, em_sample_size=size),
         LearnConfig(seed=seed, em_sample_size=size, em_tol=0.0, em_max_iters=12),
     ):
-        assert em_learn_rho(g, cfg) == em_learn_rho_oracle(g, cfg)
+        assert em(g, cfg) == em_learn_rho_oracle(g, cfg)
 
 
 def test_wedge_likelihoods_equal_scalar_walk():
     g = power_law_signed_graph(150, 700, seed=9, gamma=2.1)
-    wedge = learn.wedge_likelihoods(g)
+    wedge = learn.wedge_likelihoods(g, metrics.list_triangles(g))
     rows = neighbor_rows(g)
     for e, (u, v, _) in enumerate(g.edges):
         for slot, (i, j) in ((2 * e, (u, v)), (2 * e + 1, (v, u))):
@@ -297,6 +302,12 @@ def test_wedge_likelihoods_equal_scalar_walk():
                 if k in rows[j]:
                     walk += 1.0 / (len(rows[i]) * len(rows[k]))
             assert wedge[slot] == walk
+
+
+def test_learn_lists_the_triangles_once(listings):
+    g = power_law_signed_graph(200, 900, seed=3, eta=0.8)
+    learn_parameters(g, LearnConfig(seed=1))
+    assert listings == [g]
 
 
 def test_learned_parameters_are_python_floats():

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from signet.graph import Sign, build_graph
 from signet.metrics import (
     TriangleCensus,
     compute_eta,
+    list_triangles,
     stats_report,
     triangle_census,
 )
@@ -19,6 +21,10 @@ from tests.conftest import (
     random_signed_graph,
     sign_lookup,
 )
+
+
+def census_of(g):
+    return triangle_census(g, list_triangles(g))
 
 
 def test_eta_all_positive(k3_positive):
@@ -39,7 +45,7 @@ def test_eta_empty_graph():
 
 
 def test_census_k3_mixed(k3_mixed):
-    census = triangle_census(k3_mixed)
+    census = census_of(k3_mixed)
     assert census.as_counts() == {"+++": 0, "++-": 1, "+--": 0, "---": 0}
 
 
@@ -47,7 +53,7 @@ def test_census_k4_all_positive():
     g = build_graph(
         [(u, v, Sign.POSITIVE) for u, v in itertools.combinations(range(4), 2)]
     )
-    census = triangle_census(g)
+    census = census_of(g)
     assert census.ppp == 4
     assert census.total == 4
 
@@ -62,12 +68,12 @@ def test_census_matches_brute_force(seed):
 @settings(max_examples=40, deadline=None)
 def test_census_matches_brute_force_property(seed):
     g = random_signed_graph(25, 0.25, seed=seed, eta=0.6)
-    assert triangle_census(g).as_counts() == brute_force_census(g)
+    assert census_of(g).as_counts() == brute_force_census(g)
 
 
 def test_balanced_iff_sign_product_positive():
     g = random_signed_graph(40, 0.25, seed=3)
-    census = triangle_census(g)
+    census = census_of(g)
     expected = 0
     sign = sign_lookup(g)
     for a, b, c in itertools.combinations(range(g.n), 3):
@@ -78,12 +84,12 @@ def test_balanced_iff_sign_product_positive():
 
 
 def test_balanced_fraction_values(k3_positive, k3_mixed):
-    assert triangle_census(k3_positive).delta_b == 1.0
-    assert triangle_census(k3_mixed).delta_b == 0.0
+    assert census_of(k3_positive).delta_b == 1.0
+    assert census_of(k3_mixed).delta_b == 0.0
 
 
 def test_balanced_fraction_no_triangles(path3):
-    assert triangle_census(path3).delta_b == 0.0
+    assert census_of(path3).delta_b == 0.0
     assert stats_report(path3).delta_b == 0.0
 
 
@@ -93,8 +99,8 @@ def test_balanced_fraction_relabeling_invariant():
     relabeled = build_graph(
         [(perm[u], perm[v], s) for u, v, s in g.edges], n=g.n
     )
-    assert triangle_census(relabeled).delta_b == pytest.approx(
-        triangle_census(g).delta_b
+    assert census_of(relabeled).delta_b == pytest.approx(
+        census_of(g).delta_b
     )
 
 
@@ -102,8 +108,8 @@ def test_sign_flip_swaps_census_counts():
     # Flipping every sign recounts explicitly: +++ <-> ---, ++- <-> +--.
     g = random_signed_graph(40, 0.25, seed=9)
     flipped = build_graph([(u, v, Sign(-int(s))) for u, v, s in g.edges], n=g.n)
-    a = triangle_census(g)
-    b = triangle_census(flipped)
+    a = census_of(g)
+    b = census_of(flipped)
     assert b.as_counts() == {
         "+++": a.mmm, "++-": a.pmm, "+--": a.ppm, "---": a.ppp,
     }
@@ -139,6 +145,26 @@ def test_stats_report_star_histogram():
     assert stats.delta_b == 0.0  # no triangles
 
 
+def test_degree_histogram_is_read_only():
+    stats = stats_report(build_graph([(0, i, Sign.POSITIVE) for i in (1, 2, 3)]))
+    with pytest.raises(TypeError):
+        stats.degree_histogram[1] = 99
+    with pytest.raises(TypeError):
+        del stats.degree_histogram[3]
+    assert stats.degree_histogram == {1: 3, 3: 1}
+
+
+def test_stats_report_measures_a_graph_once(listings):
+    g = random_signed_graph(40, 0.25, seed=7)
+    first = stats_report(g)
+    assert stats_report(g) is first
+    assert listings == [g]
+    equal = build_graph(np.column_stack((g.u, g.v, g.sign)), n=g.n)
+    assert stats_report(equal) is not first
+    assert stats_report(equal) == first
+    assert "_stats" not in repr(g)
+
+
 def test_distribution_empty():
     assert TriangleCensus().distribution() == {
         "+++": 0.0, "++-": 0.0, "+--": 0.0, "---": 0.0,
@@ -172,10 +198,18 @@ def signed_graphs(draw):
 
 
 def assert_census_matches_oracle(g):
-    per_vertex = [0] * g.n
-    census = triangle_census(g, per_vertex=per_vertex)
-    assert census.as_counts() == brute_force_census(g)
-    assert per_vertex == brute_force_per_vertex(g)
+    """The census and, through the clustering coefficients, the triangles
+    through each vertex agree with brute force. A fresh copy of ``g`` is
+    measured, so that no earlier stats_report answers for it."""
+    assert census_of(g).as_counts() == brute_force_census(g)
+    if g.m == 0:
+        return
+    fresh = build_graph(np.column_stack((g.u, g.v, g.sign)), n=g.n)
+    expected = tuple(
+        2.0 * t / (d * (d - 1)) if d >= 2 else 0.0
+        for t, d in zip(brute_force_per_vertex(g), g.degrees().tolist())
+    )
+    assert stats_report(fresh).clustering == expected
 
 
 @given(signed_graphs(), st.integers(1, 7))
