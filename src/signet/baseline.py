@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .generate import _generate
+from .generate import _iid_generate
 from .graph import SignedGraph
 from .learn import ModelParams
 from .metrics import compute_eta
@@ -54,6 +54,8 @@ def stcl_params(g_input: SignedGraph, rho: float) -> ModelParams:
 
 def stcl_generate(g_input: SignedGraph, rho: float, seed: int) -> SignedGraph:
     """Generate with wedge closures for topology but signs drawn i.i.d.
-    positive with probability eta, ignoring balance entirely.
+    positive with probability eta, ignoring balance entirely. The topology
+    is that of ``generate`` on the same input, rho and seed, and is taken
+    from such a network when the caller still holds one.
     """
-    return _generate(g_input, stcl_params(g_input, rho), seed, balance=False)
+    return _iid_generate(g_input, stcl_params(g_input, rho), seed)

@@ -21,7 +21,7 @@ from . import baseline as baseline_mod
 from .errors import ParseError, SignetError
 from .evaluate import evaluate as run_evaluate
 from .generate import generate as run_generate
-from .io import read_graph, write_canonical
+from .io import read_canonical, read_graph, write_canonical
 from .learn import LearnConfig, ModelParams, learn_parameters
 from .metrics import stats_report
 
@@ -216,7 +216,9 @@ def _evaluate(g, generated_dir, out_path, fmt):
     )
     if not gen_paths:
         raise click.ClickException(f"no generated_*.tsv files in {generated_dir}")
-    report = run_evaluate(g, [read_graph(p) for p in gen_paths])
+    # A generated network has the input's n vertices, its top ones perhaps
+    # isolated, so the file alone does not give n.
+    report = run_evaluate(g, [read_canonical(p, n=g.n) for p in gen_paths])
     if fmt == "json":
         _write_json(out_path, report.to_dict())
     else:

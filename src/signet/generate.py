@@ -5,9 +5,7 @@ splits it by the target sign fraction, then replaces every edge through M
 insert/evict rounds that mix two-hop wedge closures (balance-driven signs)
 with random insertions (positive with probability alpha). Collisions park
 their vertices on a FIFO queue that is drained before new sampling-vector
-draws. The STCL baseline (``baseline.stcl_generate``) runs the same rounds
-with ``balance`` off: a wedge closure's sign is then drawn like a random
-insertion's, and that is the only place the two models differ.
+draws.
 
 Randomness comes from two ``random.Random`` streams seeded from the run's
 seed. The topology stream draws FCL's endpoint pairs, each round's branch
@@ -19,6 +17,17 @@ seed): alpha, beta, eta and the STCL switch change signs only. A stream is
 read in whole blocks of ``BLOCK`` 64-bit words from ``getrandbits``, which
 numpy turns into 53-bit uniforms x in [0, 1) or into indices floor(x * d).
 The rounds take them one at a time with ``next()``.
+
+The STCL baseline (``baseline.stcl_generate``, through ``_iid_generate``)
+keeps this topology and draws each sign i.i.d., positive with probability
+alpha. ``generate`` remembers each network it returns on its input, weakly,
+under (rho, str(seed)). STCL on the same input, rho and seed takes the
+(u, v) columns of such a network while the caller still holds it.
+Otherwise it runs the rounds with ``balance`` off: they read no sign coin,
+and FCL ranks no sign. Either way its signs are one numpy comparison. Step
+t writes ring slot t, and after M steps ``head`` is back at 0, so output
+edge t is step t's edge. Its sign is positive iff uniform t of the sign
+stream, counted after the blocks FCL's sign ranking reads, is below alpha.
 
 FCL draws its endpoint pairs in bulk, in chunks of whole blocks that hold
 at least 9M/8 pairs: pair i is the two entries of pi that words 2i and
@@ -48,8 +57,9 @@ and the ring, and builds the rows once at its end.
 from __future__ import annotations
 
 import random
+import weakref
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -99,7 +109,7 @@ class GenerationState:
     alpha: float
     beta: float
     seed: int
-    # Off for STCL: wedge closures ignore balance (see the module docstring).
+    # Off for STCL: the rounds draw no sign (see the module docstring).
     balance: bool = True
     # ids[v] is v; every vertex id the state holds is one of these objects.
     ids: list[int] = field(init=False)
@@ -189,9 +199,10 @@ def fcl_initialize(state: GenerationState, eta: float) -> None:
             raise StallError(f"FCL could not place {m} distinct edges")
     ring = pairs[first[:m]]
     del pairs, keys, u, v, first  # the draws, before the rows are built
-    rank = np.argsort(_words(state.signs, -(-m // BLOCK))[:m], kind="stable")
-    signs = np.full(m, -1, np.int64)
-    signs[rank[:round(eta * m)]] = 1
+    signs = np.ones(m, np.int64)
+    if state.balance:  # STCL reads no sign of FCL's
+        rank = np.argsort(_words(state.signs, -(-m // BLOCK))[:m], kind="stable")
+        signs[rank[round(eta * m):]] = -1
     ids = state.ids
     eu = state.eu = list(map(ids.__getitem__, ring[:, 0].tolist()))
     ev = state.ev = list(map(ids.__getitem__, ring[:, 1].tolist()))
@@ -266,11 +277,10 @@ def generation_step(state: GenerationState) -> None:
                 state.park(v_j, False)
                 walk_failures += 1
             else:
+                sign = 1  # without balance the rounds draw no sign
                 if state.balance:
                     balanced = next(coins) < state.beta
                     sign = choose_wedge_sign(state, v_i, v_j, balanced, state.alpha)
-                else:
-                    sign = 1 if next(coins) < state.alpha else -1
                 state.replace_oldest(v_i, v_j, sign)
                 state.steps_done += 1
                 return
@@ -285,7 +295,9 @@ def generation_step(state: GenerationState) -> None:
             state.park(v_i, i_queued)
             state.park(v_j, j_queued)
             continue
-        sign = 1 if next(coins) < state.alpha else -1
+        sign = 1
+        if state.balance:
+            sign = 1 if next(coins) < state.alpha else -1
         state.replace_oldest(v_i, v_j, sign)
         state.steps_done += 1
         return
@@ -320,15 +332,36 @@ def _require_room(g_input: SignedGraph) -> None:
 def generate(g_input: SignedGraph, params: ModelParams, seed: int) -> SignedGraph:
     """Generate a synthetic signed network with the input's size and
     sampling vector. Deterministic for a fixed (input, params, seed); the
-    (u, v) columns depend only on (input, params.rho, seed).
+    (u, v) columns depend only on (input, params.rho, seed). The network is
+    remembered on ``g_input`` for as long as the caller holds it.
     """
-    return _generate(g_input, params, seed, balance=True)
+    out = _generate(g_input, params, seed, balance=True)
+    if g_input._generated is None:
+        object.__setattr__(g_input, "_generated", weakref.WeakValueDictionary())
+    g_input._generated[params.rho, str(seed)] = out
+    return out
+
+
+def _iid_generate(g_input: SignedGraph, params: ModelParams, seed: int) -> SignedGraph:
+    """``generate``'s topology at (params.rho, seed) with every sign drawn
+    i.i.d. positive with probability params.alpha (see the module
+    docstring): the body of ``baseline.stcl_generate``."""
+    memo = g_input._generated
+    topology = memo.get((params.rho, str(seed))) if memo is not None else None
+    if topology is None:
+        topology = _generate(g_input, params, seed, balance=False)
+    m = topology.m
+    fcl = -(-m // BLOCK)  # the blocks FCL's sign ranking reads
+    words = _words(random.Random(f"{seed}:signs"), 2 * fcl)[fcl * BLOCK:][:m]
+    sign = np.where(_uniforms(words) < params.alpha, 1, -1).astype(np.int8)
+    sign.flags.writeable = False
+    return replace(topology, sign=sign)
 
 
 def _generate(
     g_input: SignedGraph, params: ModelParams, seed: int, balance: bool
 ) -> SignedGraph:
-    """The body of ``generate`` and ``baseline.stcl_generate``."""
+    """The rounds of ``generate``, or with ``balance`` off of ``_iid_generate``."""
     pi = build_sampling_vector(g_input)
     _require_room(g_input)
     state = GenerationState(

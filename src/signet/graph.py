@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -56,6 +57,11 @@ class SignedGraph:
     labels: Optional[tuple] = None
     # The graph's measured properties, set once by ``metrics.stats_report``.
     _stats: Optional[GraphStats] = field(default=None, init=False, repr=False)
+    # The networks ``generate`` made from this graph and the caller still
+    # holds, keyed by (rho, str(seed)); set on its first call.
+    _generated: Optional[weakref.WeakValueDictionary] = field(
+        default=None, init=False, repr=False
+    )
 
     @property
     def m(self) -> int:

@@ -101,8 +101,11 @@ def parse_rating_lines(lines: Iterable[str]) -> list[RawRating]:
 _SIGN_TOKENS = {"+1": 1, "1": 1, "+": 1, "-1": -1, "-": -1}
 
 
-def read_canonical(path: str | os.PathLike) -> SignedGraph:
-    """Read a canonical edge list; raises ParseError on any invalid line."""
+def read_canonical(path: str | os.PathLike, n: Optional[int] = None) -> SignedGraph:
+    """Read a canonical edge list; raises ParseError on any invalid line.
+    The graph has 1 + the largest id vertices, or ``n`` when given: an id of
+    ``n`` or more is then a ParseError."""
+    top = MAX_VERTEX_ID if n is None else min(n - 1, MAX_VERTEX_ID)
     us: list[int] = []
     vs: list[int] = []
     signs: list[int] = []
@@ -120,14 +123,14 @@ def read_canonical(path: str | os.PathLike) -> SignedGraph:
                 raise ParseError(no, f"self-loop on vertex {u}")
             if u < 0 or v < 0:
                 raise ParseError(no, "negative vertex id")
-            if u > MAX_VERTEX_ID or v > MAX_VERTEX_ID:
-                raise ParseError(no, f"vertex id {max(u, v)} above {MAX_VERTEX_ID}")
+            if u > top or v > top:
+                raise ParseError(no, f"vertex id {max(u, v)} above {top}")
             us.append(u)
             vs.append(v)
             signs.append(_SIGN_TOKENS[parts[2]])
     if not us:
         raise ParseError(0, "no edges in file")
-    return build_graph(np.array((us, vs, signs), dtype=np.int64).T)
+    return build_graph(np.array((us, vs, signs), dtype=np.int64).T, n=n)
 
 
 def write_canonical(g: SignedGraph, path: str | os.PathLike) -> None:

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 
@@ -7,7 +8,7 @@ from click.testing import CliRunner
 from signet import cli
 from signet.cli import main
 from signet.graph import Sign
-from signet.io import read_graph, write_canonical
+from signet.io import read_canonical, read_graph, write_canonical
 from tests.conftest import power_law_signed_graph
 
 
@@ -200,11 +201,14 @@ def counted_reads(monkeypatch):
     """Every graph the CLI reads, in order."""
     graphs = []
 
-    def read(path):
-        graphs.append(read_graph(path))
-        return graphs[-1]
+    def counted(reader):
+        def read(path, **kwargs):
+            graphs.append(reader(path, **kwargs))
+            return graphs[-1]
+        return read
 
-    monkeypatch.setattr(cli, "read_graph", read)
+    monkeypatch.setattr(cli, "read_graph", counted(read_graph))
+    monkeypatch.setattr(cli, "read_canonical", counted(read_canonical))
     return graphs
 
 
@@ -222,6 +226,54 @@ def test_sweep_measures_the_input_once(runner, network_file, tmp_path, monkeypat
     # and the other three reuse them.
     assert sum(h is g for h in listings) == 2
     assert len(listings) == 2 + 4
+
+
+def test_sweep_holds_no_generated_network(runner, network_file, tmp_path, monkeypatch):
+    reads = counted_reads(monkeypatch)
+    result = runner.invoke(
+        main,
+        ["sweep", network_file, "--alpha-grid", "0.7,0.9", "--beta-grid", "0.5,0.9",
+         "--runs", "1", "--out", str(tmp_path / "sweep.tsv")],
+    )
+    assert result.exit_code == 0, result.output
+    (g,) = reads
+    gc.collect()
+    assert g._generated is not None and len(g._generated) == 0
+
+
+def test_evaluate_measures_generated_networks_over_the_input_n(
+    runner, network_file, tmp_path
+):
+    # At seed 36 the input's top vertex, 299, is isolated in the generated
+    # network, so its file alone reads as n = 299.
+    n = read_graph(network_file).n
+    outdir = tmp_path / "run"
+    result = runner.invoke(
+        main, ["pipeline", network_file, "--outdir", str(outdir), "--runs", "1",
+               "--seed", "36"]
+    )
+    assert result.exit_code == 0, result.output
+    generated = outdir / "generated" / "generated_000.tsv"
+    assert read_graph(generated).n == n - 1
+    manifest = json.loads((outdir / "generated" / "manifest_000.json").read_text())
+    report = json.loads((outdir / "report.json").read_text())
+    assert manifest["n"] == report["runs"][0]["stats"]["n"] == report["input"]["n"] == n
+
+
+def test_evaluate_refuses_a_vertex_id_outside_the_input(runner, network_file, tmp_path):
+    n = read_graph(network_file).n
+    gen_dir = tmp_path / "gen"
+    gen_dir.mkdir()
+    (gen_dir / "generated_000.tsv").write_text(f"0\t1\t+1\n1\t{n}\t-1\n")
+    result = runner.invoke(main, [
+        "evaluate", network_file, "--generated-dir", str(gen_dir),
+        "--out", str(tmp_path / "report.json"),
+    ])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert errors == [f"Error: line 2: vertex id {n} above {n - 1}"]
 
 
 def test_pipeline_reads_the_input_once_and_matches_the_commands(

@@ -1,3 +1,6 @@
+import dataclasses
+import gc
+import hashlib
 import importlib
 import itertools
 import math
@@ -811,7 +814,9 @@ def test_topology_depends_only_on_input_rho_and_seed(name, seed):
     g = ORACLE_GRAPHS[name]()
     runs = [generate(g, make_params(rho=0.6, alpha=a, beta=b, eta=e), seed)
             for a, b, e in SIGN_PARAMS]
-    runs.append(stcl_generate(g, 0.6, seed))
+    # On g itself STCL would take the held networks' columns; a fresh copy
+    # has none, so it runs the rounds.
+    runs.append(stcl_generate(fresh(g), 0.6, seed))
     signs = set()
     for out in runs:
         assert np.array_equal(out.u, runs[0].u) and np.array_equal(out.v, runs[0].v)
@@ -834,6 +839,141 @@ def test_sign_parameters_never_change_topology(g, rho, a1, b1, e1, a2, b2, e2, s
     first = topology(lambda: generate(g, make_params(rho, a1, b1, e1), seed))
     assert first == topology(lambda: generate(g, make_params(rho, a2, b2, e2), seed))
     assert first == topology(lambda: stcl_generate(g, rho, seed))
+
+
+def fresh(g):
+    """A copy of ``g`` that holds no generated network (``replace`` leaves
+    the fields outside ``__init__`` at their defaults)."""
+    return dataclasses.replace(g)
+
+
+def columns(g):
+    return g.u.tobytes(), g.v.tobytes(), g.sign.tobytes(), g.n
+
+
+@given(small_graphs(), unit, unit, unit, unit, st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_stcl_is_the_same_with_and_without_a_held_network(g, rho, alpha, beta, eta, seed):
+    cold = outcome(lambda: columns(stcl_generate(fresh(g), rho, seed)))
+    try:
+        held = generate(g, make_params(rho, alpha, beta, eta), seed)
+    except SignetError as exc:
+        assert cold is type(exc)
+        return
+    assert g._generated[rho, str(seed)] is held
+    assert columns(stcl_generate(g, rho, seed)) == cold
+
+
+def count_steps(monkeypatch):
+    """The number of generation steps taken so far, as a one-item list."""
+    steps = [0]
+    step = G.generation_step
+
+    def counted(state):
+        steps[0] += 1
+        step(state)
+
+    monkeypatch.setattr(G, "generation_step", counted)
+    return steps
+
+
+def test_generated_networks_are_held_weakly(monkeypatch):
+    g = ORACLE_GRAPHS["power-law"]()
+    steps = count_steps(monkeypatch)
+    net = generate(g, make_params(rho=0.6), seed=3)
+    assert steps[0] == g.m
+    assert stcl_generate(g, 0.6, seed=3).u is net.u  # no rounds: the held columns
+    assert steps[0] == g.m
+    assert stcl_generate(g, 0.5, seed=3).m == g.m  # another rho: the rounds run
+    assert stcl_generate(g, 0.6, seed=4).m == g.m  # another seed: the rounds run
+    assert steps[0] == 3 * g.m
+    del net
+    gc.collect()
+    assert len(g._generated) == 0
+    stcl_generate(g, 0.6, seed=3)
+    assert steps[0] == 4 * g.m
+
+
+def test_seed_keys_the_memo_by_its_stream_name():
+    # 1 == 1.0, but the streams are seeded from "1" and "1.0".
+    g = ORACLE_GRAPHS["power-law"]()
+    held = generate(g, make_params(rho=0.6), seed=1)
+    assert g._generated[0.6, "1"] is held
+    assert columns(stcl_generate(g, 0.6, 1.0)) == columns(stcl_generate(fresh(g), 0.6, 1.0))
+
+
+def sign_stream_oracle(seed, m, eta):
+    """STCL's signs read word by word: skip the ceil(M / BLOCK) blocks that
+    FCL's sign ranking reads, then sign t is positive iff uniform t < eta."""
+    rng = random.Random(f"{seed}:signs")
+    for _ in range(G.BLOCK * -(-m // G.BLOCK)):
+        rng.getrandbits(64)
+    return [1 if (rng.getrandbits(64) >> 11) / 2**53 < eta else -1 for _ in range(m)]
+
+
+@pytest.mark.parametrize("name", ["power-law", "hub-heavy", "star"])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_stcl_signs_equal_the_sign_stream_oracle(name, seed):
+    g = ORACLE_GRAPHS[name]()
+    expected = sign_stream_oracle(seed, g.m, compute_eta(g))
+    assert stcl_generate(fresh(g), 0.4, seed).sign.tolist() == expected
+    held = generate(g, make_params(rho=0.4), seed)
+    out = stcl_generate(g, 0.4, seed)
+    assert out.u is held.u and out.v is held.v
+    assert out.sign.tolist() == expected
+    assert not out.sign.flags.writeable
+
+
+def pinned_input(seed, n, m):
+    """A skewed random graph drawn with ``random.Random`` alone, whose draws
+    are fixed across Python and numpy releases."""
+    rng = random.Random(f"pinned:{seed}")
+    edges = {}
+    while len(edges) < m:
+        u = int(rng.random() * rng.random() * n)
+        v = int(rng.random() * n)
+        s = 1 if rng.random() < 0.75 else -1
+        if u != v:
+            edges.setdefault((min(u, v), max(u, v)), s)
+    return build_graph([(u, v, s) for (u, v), s in edges.items()], n=n)
+
+
+def digest(g):
+    return hashlib.sha256(np.stack((g.u, g.v, g.sign)).astype("<i8").tobytes()).hexdigest()
+
+
+# sha256 of the (u, v, sign) columns in edge order, as int64 rows, of
+# generate and stcl_generate on two pinned inputs and two seeds. A change to
+# them is a change to every seed's output and must be made on purpose.
+PINNED_OUTPUTS = {
+    (1, 120, 400, 1): (
+        "602f3ef974d1dad424733e8eebb6dd0669fc430bbe2da3c1d6177fdc6ef48475",
+        "fd716d9d5ececb0cbccfdead1019a9cb729e8d9055ac2bc3acd5d78cc8bc20bb",
+    ),
+    (1, 120, 400, 2): (
+        "9451d0c9a9e6992a34c205acaa95edfdaff50f45e214bcc3bad0570a5f357b03",
+        "ef2789941a934f83d9df28633ec0c5f2bfe5ef389aa6ebeee7e46a6869b08d88",
+    ),
+    (2, 300, 900, 1): (
+        "7dd6d064d02e197553b70a408edb91bb08b1ae35aecb5463948a7c1b8550071f",
+        "b6ab0b4297e1729af71d8e9a5671077c54c0ac8446a527b8c0a3270d8b1ff593",
+    ),
+    (2, 300, 900, 2): (
+        "6ff395aa70dd8558ca43610dd6a6a342cfebc6c40f098ba10d236fb1e0cb8ec2",
+        "64d6ac3aabd7a7564bf90b78cde32be975c2c4514f46612bff19f8b80c7a9817",
+    ),
+}
+
+
+@pytest.mark.parametrize("input_seed, n, m, seed", sorted(PINNED_OUTPUTS))
+def test_outputs_equal_their_pinned_digests(input_seed, n, m, seed):
+    balance, iid = PINNED_OUTPUTS[input_seed, n, m, seed]
+    params = make_params(rho=0.5, alpha=0.7, beta=0.8, eta=0.75)
+    g = pinned_input(input_seed, n, m)
+    assert digest(stcl_generate(g, 0.5, seed)) == iid  # the rounds run
+    held = generate(g, params, seed)
+    assert digest(held) == balance
+    assert digest(stcl_generate(g, 0.5, seed)) == iid  # held columns
 
 
 @pytest.mark.parametrize(

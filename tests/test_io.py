@@ -108,6 +108,19 @@ def test_read_canonical_rejects_vertex_id_above_bound(tmp_path):
     assert read_canonical(path).n == MAX_VERTEX_ID + 1
 
 
+def test_read_canonical_over_n_vertices(tmp_path):
+    path = tmp_path / "g.tsv"
+    path.write_text("0\t1\t+1\n1\t2\t-1\n")
+    g = read_canonical(path, n=5)
+    assert g.n == 5
+    assert g.degrees().tolist() == [1, 2, 1, 0, 0]
+    assert read_canonical(path, n=3).n == 3
+    with pytest.raises(ParseError) as err:
+        read_canonical(path, n=2)
+    assert err.value.line_no == 2
+    assert err.value.reason == "vertex id 2 above 1"
+
+
 @pytest.mark.parametrize("text, line_no", [
     ("# c\n\n0 1 +1\n0,2 , -1 # c\n1 2\n", 5),  # comments, blanks, commas
     ("0\t1\t+1\n \t\n,\n", 3),  # a line of commas has no fields
