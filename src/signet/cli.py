@@ -43,17 +43,11 @@ def _write_tsv(path, header_cols, rows):
             fh.write("\t".join(str(x) for x in row) + "\n")
 
 
-def _learn_config(seed, em_samples, em_iters) -> LearnConfig:
-    cfg = LearnConfig(seed=seed)
-    if em_samples is not None:
-        cfg.em_sample_size = em_samples
-    if em_iters is not None:
-        cfg.em_max_iters = em_iters
-    return cfg
+def _learn_config(em_iters) -> LearnConfig:
+    return LearnConfig() if em_iters is None else LearnConfig(em_max_iters=em_iters)
 
 
-# EM's options, shared by learn, sweep and pipeline; unset means the default.
-_em_samples = click.option("--em-samples", type=click.IntRange(min=1), default=None)
+# EM's option, shared by learn, sweep and pipeline; unset means the default.
 _em_iters = click.option("--em-iters", type=click.IntRange(min=1), default=None)
 
 
@@ -120,18 +114,16 @@ def _analyze(g, input_path, out_dir):
 @main.command()
 @click.argument("input_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
-@click.option("--seed", default=42, show_default=True)
-@_em_samples
 @_em_iters
-def learn(input_path, out_path, seed, em_samples, em_iters):
+def learn(input_path, out_path, em_iters):
     """Learn model parameters from a network."""
-    _learn(read_graph(input_path), out_path, seed, em_samples, em_iters)
+    _learn(read_graph(input_path), out_path, em_iters)
 
 
-def _learn(g, out_path, seed, em_samples, em_iters) -> ModelParams:
-    params = learn_parameters(g, _learn_config(seed, em_samples, em_iters))
+def _learn(g, out_path, em_iters) -> ModelParams:
+    params = learn_parameters(g, _learn_config(em_iters))
     payload = params.to_dict()
-    payload["config"] = {"seed": seed, "em_samples": em_samples, "em_iters": em_iters}
+    payload["config"] = {"em_iters": em_iters}
     _write_json(out_path, payload)
     click.echo(
         f"learned rho={params.rho:.4f} alpha={params.alpha:.4f} beta={params.beta:.4f}"
@@ -216,9 +208,7 @@ def _evaluate(g, generated_dir, out_path, fmt):
     )
     if not gen_paths:
         raise click.ClickException(f"no generated_*.tsv files in {generated_dir}")
-    # A generated network has the input's n vertices, its top ones perhaps
-    # isolated, so the file alone does not give n.
-    report = run_evaluate(g, [read_canonical(p, n=g.n) for p in gen_paths])
+    report = run_evaluate(g, [_read_generated(p, g.n) for p in gen_paths])
     if fmt == "json":
         _write_json(out_path, report.to_dict())
     else:
@@ -241,6 +231,16 @@ def _evaluate(g, generated_dir, out_path, fmt):
     )
 
 
+def _read_generated(path, n):
+    """A generated network has the input's n vertices, its top ones perhaps
+    isolated, so the file alone does not give n. A parse error names the
+    file, which is one of several."""
+    try:
+        return read_canonical(path, n=n)
+    except ParseError as exc:
+        raise click.ClickException(f"{path}: {exc}") from exc
+
+
 def _parse_grid(text):
     try:
         values = [float(x) for x in text.split(",") if x.strip() != ""]
@@ -258,12 +258,11 @@ def _parse_grid(text):
 @click.option("--runs", default=3, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=42, show_default=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
-@_em_samples
 @_em_iters
-def sweep(input_path, alpha_grid, beta_grid, runs, seed, out_path, em_samples, em_iters):
+def sweep(input_path, alpha_grid, beta_grid, runs, seed, out_path, em_iters):
     """Grid search over (alpha, beta); emits surface data for each point."""
     g = read_graph(input_path)
-    learned = learn_parameters(g, _learn_config(seed, em_samples, em_iters))
+    learned = learn_parameters(g, _learn_config(em_iters))
     alphas = _parse_grid(alpha_grid)
     betas = _parse_grid(beta_grid)
     rows = []
@@ -293,14 +292,13 @@ def sweep(input_path, alpha_grid, beta_grid, runs, seed, out_path, em_samples, e
 @click.option("--outdir", type=click.Path(file_okay=False), required=True)
 @click.option("--runs", default=10, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=42, show_default=True)
-@_em_samples
 @_em_iters
-def pipeline(input_path, outdir, runs, seed, em_samples, em_iters):
+def pipeline(input_path, outdir, runs, seed, em_iters):
     """analyze -> learn -> generate -> evaluate in one command."""
     os.makedirs(outdir, exist_ok=True)
     g = read_graph(input_path)
     _analyze(g, input_path, os.path.join(outdir, "analysis"))
-    params = _learn(g, os.path.join(outdir, "params.json"), seed, em_samples, em_iters)
+    params = _learn(g, os.path.join(outdir, "params.json"), em_iters)
     gen_dir = os.path.join(outdir, "generated")
     _generate_runs(g, params, runs, seed, gen_dir, "balance")
     _evaluate(g, gen_dir, os.path.join(outdir, "report.json"), "json")

@@ -24,6 +24,7 @@ from .errors import EmptyResultError, MalformedRowError, ParseError
 from .graph import MAX_VERTEX_ID, SignedGraph, build_graph
 
 DATA_DIR_ENV = "SIGNET_DATA_DIR"
+WRITE_BLOCK = 1 << 16  # rows per write: bounds the row strings alive at once
 
 
 @dataclass(frozen=True)
@@ -135,10 +136,14 @@ def read_canonical(path: str | os.PathLike, n: Optional[int] = None) -> SignedGr
 
 def write_canonical(g: SignedGraph, path: str | os.PathLike) -> None:
     """Write a graph as a canonical edge list (sorted, diff-friendly)."""
-    order = np.lexsort((g.v, g.u))
-    edges = zip(g.u[order].tolist(), g.v[order].tolist(), g.sign[order].tolist())
+    order = np.argsort(g.u * g.n + g.v)  # unique keys, as u < v < n
+    names = list(map(str, range(g.n)))
+    tail = {1: "\t+1\n", -1: "\t-1\n"}
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(f"{u}\t{v}\t{s:+d}\n" for u, v, s in edges)
+        for start in range(0, g.m, WRITE_BLOCK):
+            block = order[start:start + WRITE_BLOCK]
+            edges = zip(g.u[block].tolist(), g.v[block].tolist(), g.sign[block].tolist())
+            fh.write("".join([names[u] + "\t" + names[v] + tail[s] for u, v, s in edges]))
 
 
 def read_graph(path: str | os.PathLike) -> SignedGraph:

@@ -3,8 +3,9 @@ closed-form updates for the sign-correction and balance parameters.
 
 The EM's wedge likelihoods do not depend on rho, so they are computed once
 per edge orientation, with sums taken in the same order as the scalar
-definition ``em_edge_responsibility``; each iteration then scores its edge
-sample with array expressions and gives the same rho, bit for bit.
+definition ``em_edge_responsibility``; each iteration then scores every
+edge orientation with array expressions, each responsibility equal bit for
+bit to the scalar definition's.
 ``learn_parameters`` lists the input's triangles once (``metrics``) and
 reads both the census and the wedge likelihoods from that listing.
 """
@@ -12,7 +13,6 @@ reads both the census and the wedge likelihoods from that listing.
 from __future__ import annotations
 
 import logging
-import random
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -42,16 +42,9 @@ TERM_BLOCK = 1 << 16  # sorted wedge terms summed per numpy block
 
 @dataclass
 class LearnConfig:
-    em_sample_size: Optional[int] = None  # defaults to min(M, 5000)
     em_max_iters: int = 50
     em_tol: float = 1e-4
-    seed: int = 42
-
-    def sample_size(self, m: int) -> int:
-        s = self.em_sample_size if self.em_sample_size is not None else min(m, 5000)
-        if s < 1:
-            raise ValueError("em_sample_size must be >= 1")
-        return min(s, m)
+    seed: int = 42  # unused: learning draws no random numbers
 
 
 @dataclass
@@ -171,35 +164,36 @@ def wedge_likelihoods(g: SignedGraph, tri: TriangleList) -> np.ndarray:
     return wedge
 
 
+def em_responsibilities(rho: float, wedge: np.ndarray, random_lik: np.ndarray) -> np.ndarray:
+    """``em_edge_responsibility`` of edge orientations, elementwise, from their
+    wedge and random-insertion likelihoods. Every wedge likelihood must be
+    nonzero, so that w + r > 0 even at rho = 1."""
+    w = rho * wedge
+    return w / (w + (1.0 - rho) * random_lik)
+
+
 def em_learn_rho(
     g: SignedGraph, cfg: LearnConfig, wedge: np.ndarray
 ) -> tuple[float, list[dict]]:
-    """EM iteration: average responsibilities over a uniform edge sample,
+    """EM iteration: average responsibilities over all 2M edge orientations,
     given the wedge likelihoods (``wedge_likelihoods``) of ``g``.
 
-    The conditioning endpoint of each sampled edge is chosen uniformly.
+    A deterministic full-batch fixed point. An orientation without wedge
+    likelihood has responsibility 0, so only the others are scored.
     Returns the final rho (clamped away from {0, 1}) and the trace.
     """
     if g.m == 0:
         raise EmptyGraphError("cannot learn on an empty graph")
-    rng = random.Random(cfg.seed)
-    s = cfg.sample_size(g.m)
+    slots = np.flatnonzero(wedge)
     # Random-insertion likelihood d_j / 2M of the far endpoint, per slot.
     deg = g.degrees()
-    far = np.stack([deg[g.v], deg[g.u]], axis=1)
-    random_lik = far.ravel() / (2.0 * g.m)
+    far = np.where(slots & 1, deg[g.u[slots >> 1]], deg[g.v[slots >> 1]])
+    random_lik = far / (2.0 * g.m)
+    wedge = wedge[slots]
     rho = RHO_INIT
     trace = []
     for it in range(cfg.em_max_iters):
-        idx = np.array(rng.sample(range(g.m), s)) if s < g.m else np.arange(g.m)
-        flip = np.array([rng.random() < 0.5 for _ in range(s)])
-        slot = 2 * idx + flip
-        w = rho * wedge[slot]
-        r = (1.0 - rho) * random_lik[slot]
-        resp = np.zeros(s)
-        np.divide(w, w + r, out=resp, where=w != 0.0)
-        # cumsum adds in sample order like the scalar loop; np.sum would not.
-        new_rho = float(np.cumsum(resp)[-1]) / s
+        new_rho = float(em_responsibilities(rho, wedge, random_lik).sum()) / (2 * g.m)
         delta = abs(new_rho - rho)
         trace.append({"iteration": it, "rho": new_rho, "delta": delta})
         rho = new_rho

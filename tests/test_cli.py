@@ -155,11 +155,8 @@ def test_sweep_refuses_zero_runs(runner, network_file, tmp_path):
 
 
 @pytest.mark.parametrize("command, option", [
-    ("learn", "--em-samples"),
     ("learn", "--em-iters"),
-    ("sweep", "--em-samples"),
     ("sweep", "--em-iters"),
-    ("pipeline", "--em-samples"),
     ("pipeline", "--em-iters"),
     ("pipeline", "--runs"),
     ("generate", "--runs"),
@@ -179,6 +176,26 @@ def test_count_option_refuses_zero(runner, network_file, tmp_path, command, opti
     result = runner.invoke(main, [command, network_file, *args, option, "0"])
     assert result.exit_code == 2
     assert option in result.output and "Traceback" not in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, option", [
+    ("learn", "--em-samples"),
+    ("sweep", "--em-samples"),
+    ("pipeline", "--em-samples"),
+    ("learn", "--seed"),
+])
+def test_removed_option_is_a_usage_error(runner, network_file, tmp_path, command, option):
+    out = tmp_path / "out"
+    args = {
+        "learn": ["--out", str(out)],
+        "sweep": ["--alpha-grid", "0.8", "--beta-grid", "0.5", "--out", str(out)],
+        "pipeline": ["--outdir", str(out)],
+    }[command]
+    result = runner.invoke(main, [command, network_file, *args, option, "5"])
+    assert result.exit_code == 2
+    assert "No such option" in result.output and option in result.output
+    assert "Traceback" not in result.output
     assert not out.exists()
 
 
@@ -264,7 +281,8 @@ def test_evaluate_refuses_a_vertex_id_outside_the_input(runner, network_file, tm
     n = read_graph(network_file).n
     gen_dir = tmp_path / "gen"
     gen_dir.mkdir()
-    (gen_dir / "generated_000.tsv").write_text(f"0\t1\t+1\n1\t{n}\t-1\n")
+    (gen_dir / "generated_000.tsv").write_text("0\t1\t+1\n")
+    (gen_dir / "generated_001.tsv").write_text(f"0\t1\t+1\n1\t{n}\t-1\n")
     result = runner.invoke(main, [
         "evaluate", network_file, "--generated-dir", str(gen_dir),
         "--out", str(tmp_path / "report.json"),
@@ -273,7 +291,8 @@ def test_evaluate_refuses_a_vertex_id_outside_the_input(runner, network_file, tm
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
     errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
-    assert errors == [f"Error: line 2: vertex id {n} above {n - 1}"]
+    path = gen_dir / "generated_001.tsv"
+    assert errors == [f"Error: {path}: line 2: vertex id {n} above {n - 1}"]
 
 
 def test_pipeline_reads_the_input_once_and_matches_the_commands(

@@ -1,12 +1,15 @@
 import random
 import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from signet import io
 from signet.errors import EmptyResultError, MalformedRowError, ParseError
-from signet.graph import MAX_VERTEX_ID, Sign
+from signet.graph import MAX_VERTEX_ID, Sign, build_graph
 from signet.io import (
     RawRating,
     ingest_ratings,
@@ -88,6 +91,46 @@ def test_canonical_round_trip(tmp_path):
     g2 = read_canonical(path)
     assert sorted(g2.edges) == sorted(g.edges)
     assert g2.n == g.n
+
+
+def write_canonical_fstring(g, path):
+    """The f-string writer that write_canonical replaced, kept as its
+    oracle: one formatted row per edge in ``np.lexsort((v, u))`` order."""
+    order = np.lexsort((g.v, g.u))
+    edges = zip(g.u[order].tolist(), g.v[order].tolist(), g.sign[order].tolist())
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"{u}\t{v}\t{s:+d}\n" for u, v, s in edges)
+
+
+@st.composite
+def graphs_with_both_signs(draw):
+    """A signed graph on up to 40 vertices, edges in any order, at least one
+    of each sign, perhaps with isolated vertices above the largest id."""
+    n = draw(st.integers(3, 40))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        .filter(lambda p: p[0] != p[1])
+        .map(lambda p: (min(p), max(p))),
+        min_size=2, max_size=150, unique=True,
+    ))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=len(pairs) - 2,
+                          max_size=len(pairs) - 2))
+    flips = [draw(st.booleans()) for _ in pairs]
+    rows = [(v, u) if flip else (u, v) for (u, v), flip in zip(pairs, flips)]
+    return build_graph(
+        [(a, b, s) for (a, b), s in zip(rows, [1, -1] + signs)],
+        n=n + draw(st.integers(0, 3)),
+    )
+
+
+@given(graphs_with_both_signs(), st.sampled_from([1, 7, io.WRITE_BLOCK]))
+@settings(max_examples=100, deadline=None)
+def test_write_canonical_bytes_equal_the_fstring_writer(tmp_path_factory, g, block):
+    out = tmp_path_factory.mktemp("write")
+    with mock.patch.object(io, "WRITE_BLOCK", block):
+        write_canonical(g, out / "new.tsv")
+    write_canonical_fstring(g, out / "old.tsv")
+    assert (out / "new.tsv").read_bytes() == (out / "old.tsv").read_bytes()
 
 
 def test_read_canonical_rejects_self_loop(tmp_path):

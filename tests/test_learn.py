@@ -2,6 +2,7 @@ import itertools
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -228,23 +229,20 @@ def test_model_params_round_trip():
     )
 
 
-def em_learn_rho_oracle(g, cfg):
-    """The per-edge EM loop that em_learn_rho vectorises: same RNG calls,
-    each responsibility from the scalar definition, summed in sample order."""
-    rng = random.Random(cfg.seed)
-    s = cfg.sample_size(g.m)
+def em_learn_rho_oracle(g, cfg, scored):
+    """The EM loop that em_learn_rho vectorises: every slot 2e + o scored
+    by the scalar definition, then the nonzero responsibilities summed in
+    slot order as em_learn_rho sums them. Each iteration's array of
+    responsibilities, one per slot, is appended to ``scored``."""
     rho = RHO_INIT
     trace = []
-    edges = g.edges
     for it in range(cfg.em_max_iters):
-        sample = rng.sample(range(g.m), s) if s < g.m else range(g.m)
-        total = 0.0
-        for idx in sample:
-            u, v, _ = edges[idx]
-            if rng.random() < 0.5:
-                u, v = v, u
-            total += em_edge_responsibility(g, u, v, rho)
-        new_rho = total / s
+        resp = np.array([
+            em_edge_responsibility(g, *((v, u) if o else (u, v)), rho)
+            for u, v, _ in g.edges for o in (0, 1)
+        ])
+        scored.append(resp)
+        new_rho = float(resp[resp != 0.0].sum()) / (2 * g.m)
         delta = abs(new_rho - rho)
         trace.append({"iteration": it, "rho": new_rho, "delta": delta})
         rho = new_rho
@@ -276,19 +274,35 @@ EM_GRAPHS = {
 
 
 @pytest.mark.parametrize("name", sorted(EM_GRAPHS))
-@pytest.mark.parametrize("sample", [None, 3, "M"])
+@pytest.mark.parametrize("block", [None, 3, "M"])
 @pytest.mark.parametrize("seed", [0, 1, 42])
-def test_em_equals_per_edge_oracle_bit_for_bit(name, sample, seed, monkeypatch):
+def test_em_equals_per_edge_oracle_bit_for_bit(name, block, seed, monkeypatch):
+    # Blocks of 3 cut rows in the listing and force many slot-aligned term
+    # blocks, blocks of M fewer; None keeps the module's defaults.
     g = EM_GRAPHS[name]()
-    size = g.m if sample == "M" else sample
-    # Small blocks exercise row cuts in the listing and slot-aligned term blocks.
-    monkeypatch.setattr(metrics, "WEDGE_BLOCK", 5)
-    monkeypatch.setattr(learn, "TERM_BLOCK", 7)
+    if block is not None:
+        size = g.m if block == "M" else block
+        monkeypatch.setattr(metrics, "WEDGE_BLOCK", size)
+        monkeypatch.setattr(learn, "TERM_BLOCK", size)
+    wedge = learn.wedge_likelihoods(g, metrics.list_triangles(g))
+    score = learn.em_responsibilities
+    scored = []
+
+    def spy(rho, w, r):  # records every slot's responsibility, 0 if unscored
+        resp = score(rho, w, r)
+        scored.append(np.zeros(2 * g.m))
+        scored[-1][np.flatnonzero(wedge)] = resp
+        return resp
+
+    monkeypatch.setattr(learn, "em_responsibilities", spy)
     for cfg in (
-        LearnConfig(seed=seed, em_sample_size=size),
-        LearnConfig(seed=seed, em_sample_size=size, em_tol=0.0, em_max_iters=12),
+        LearnConfig(seed=seed),
+        LearnConfig(seed=seed, em_tol=0.0, em_max_iters=12),
     ):
-        assert em(g, cfg) == em_learn_rho_oracle(g, cfg)
+        scored.clear()
+        expected = []
+        assert em_learn_rho(g, cfg, wedge) == em_learn_rho_oracle(g, cfg, expected)
+        assert [a.tobytes() for a in scored] == [a.tobytes() for a in expected]
 
 
 def test_wedge_likelihoods_equal_scalar_walk():
@@ -308,6 +322,14 @@ def test_learn_lists_the_triangles_once(listings):
     g = power_law_signed_graph(200, 900, seed=3, eta=0.8)
     learn_parameters(g, LearnConfig(seed=1))
     assert listings == [g]
+
+
+def test_learned_parameters_do_not_depend_on_the_seed():
+    g = power_law_signed_graph(200, 900, seed=3, eta=0.8)
+    one, two = (learn_parameters(g, LearnConfig(seed=seed)) for seed in (1, 2))
+    assert [float.hex(x) for x in (one.rho, one.alpha, one.beta)] == [
+        float.hex(x) for x in (two.rho, two.alpha, two.beta)
+    ]
 
 
 def test_learned_parameters_are_python_floats():
