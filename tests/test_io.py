@@ -1,10 +1,11 @@
 import random
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from signet import io
@@ -263,3 +264,165 @@ def test_read_graph_reads_a_canonical_file_once(tmp_path):
     finally:
         tracemalloc.stop()
     assert peaks["read_graph"] <= 1.1 * peaks["read_canonical"]
+
+
+def test_read_graph_skips_a_byte_order_mark_in_a_rating_file(tmp_path):
+    path = tmp_path / "ratings.csv"
+    path.write_text("\ufeffa,b,1,5\nc,a,1,7\n", encoding="utf-8")
+    g = read_graph(path)
+    assert g.labels == ("a", "b", "c")
+    assert g.n == 3 and g.m == 2
+
+
+def test_read_canonical_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "g.tsv"
+    path.write_text("\ufeff0\t1\t+1\n1\t2\t-1\n", encoding="utf-8")
+    for read in (read_canonical, read_graph):
+        g = read(path)
+        assert g.edges == ((0, 1, Sign.POSITIVE), (1, 2, Sign.NEGATIVE))
+
+
+@pytest.mark.parametrize("text", ["", "# only a comment\n\n"])
+def test_read_canonical_empty_file_warns_nothing(tmp_path, text):
+    path = tmp_path / "g.tsv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError) as err:
+            read_canonical(path)
+    assert (err.value.line_no, err.value.reason) == (0, "no edges in file")
+
+
+# The per-line oracles: the readers' fallback path, forced for every file.
+def read_canonical_per_line(path, n=None):
+    top = MAX_VERTEX_ID if n is None else min(n - 1, MAX_VERTEX_ID)
+    with open(path, encoding="utf-8-sig") as fh:
+        return build_graph(io._canonical_lines(fh, top), n=n)
+
+
+def read_graph_per_line(path):
+    with open(path, encoding="utf-8-sig") as fh:
+        first = next(io._data_lines(fh), None)
+        if first is None:
+            raise ParseError(0, "no data lines in file")
+        if len(first[1]) == 4:
+            fh.seek(0)
+            return ingest_ratings(parse_rating_lines(fh))
+    return read_canonical_per_line(path)
+
+
+def outcome(read, *args):
+    """What a read gives: the graph's columns, n and labels, or the error's
+    type, line number and reason."""
+    try:
+        g = read(*args)
+    except Exception as exc:  # any error must match too
+        return type(exc), getattr(exc, "line_no", None), getattr(exc, "reason", str(exc))
+    return g.u.tolist(), g.v.tolist(), g.sign.tolist(), g.n, g.labels
+
+
+SEPARATORS = ["\t", " ", ",", "\x0c", ", ", " ,\t"]
+NOISE_LINES = ["# comment", "", "  \t", ",", ",,,", "\x0c"]
+IDS = ["0", "1", "2", "3", "4", "007", "+7", "1_000", "-1", str(2**63), "٣"]
+SIGNS = ["+1", "1", "+", "-1", "-", "01", "+01", "1\x00"]
+LABELS = ["a", "b", "c", "7", "007", "+7", "1_000", "-1", "a\x00", "é", ""]
+RATINGS = ["1", "-1", "2.5", "-10", "0", "-0", "nan", "inf", "-inf", "1e400", "1_0"]
+TIMES = ["5", "1289241911", "nan", "noon"]
+# Per format: the common tokens of each column, then the rare ones.
+FORMATS = {
+    "canonical": ([list(map(str, range(31)))] * 2 + [["+1", "-1", "1"]], [IDS, IDS, SIGNS]),
+    "rating": ([["a", "b", "c", "d"]] * 2 + [["1", "-1", "3", "0"], ["5", "17"]],
+               [LABELS, LABELS, RATINGS, TIMES]),
+}
+
+
+@st.composite
+def text_files(draw, fmt):
+    """Rows of common tokens with one kind of separator, then up to three
+    perturbations: a rare token, a rare separator, a dropped or an extra
+    column, or a noise line. Lines may end in a comment or CRLF, and the
+    file may start with a byte-order mark."""
+    common, rare = FORMATS[fmt]
+    kind = draw(st.sampled_from([["\t", " ", "\x0c"], [","]]))
+    lines = []  # tokens at even places, separators at odd ones
+    for _ in range(draw(st.integers(1, 12))):
+        line = [draw(st.sampled_from(common[0]))]
+        for column in common[1:]:
+            line += [draw(st.sampled_from(kind)), draw(st.sampled_from(column))]
+        lines.append(line)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        change = draw(st.integers(0, 7))
+        if change == 7 or at == len(lines):
+            lines.insert(at, [draw(st.sampled_from(NOISE_LINES))])
+        elif change == 6:
+            lines[at] += [draw(st.sampled_from(kind)), draw(st.sampled_from(rare[-1]))]
+        elif change == 5:
+            del lines[at][-2:]
+        elif change == 4 and len(lines[at]) > 1:
+            place = 2 * draw(st.integers(0, len(lines[at]) // 2 - 1)) + 1
+            lines[at][place] = draw(st.sampled_from(SEPARATORS))
+        elif lines[at]:
+            column = draw(st.integers(0, (len(lines[at]) - 1) // 2))
+            lines[at][2 * column] = draw(st.sampled_from(rare[min(column, len(rare) - 1)]))
+    text = "".join(
+        "".join(line) + draw(st.sampled_from(["", "", " # c", "#", "\t"]))
+        + draw(st.sampled_from(["\n", "\n", "\r\n"]))
+        for line in lines
+    )
+    return ("\ufeff" if draw(st.integers(0, 5)) == 0 else "") + text
+
+
+@given(text_files("canonical"), st.one_of(st.none(), st.integers(0, 40)))
+@example("0\t1\t1\x00\n2\t3\t-1\n", None)  # a NUL a text field would drop
+@example("0 1 01\n", None)
+@example("0 1 +\n1 2 -\n", 3)
+@example("0\t1\t+1\t+1\n1\t2\t-1\n", None)  # a 4-column row after the first
+@settings(max_examples=500, deadline=None)
+def test_canonical_readers_equal_their_per_line_oracles(tmp_path_factory, text, n):
+    path = tmp_path_factory.mktemp("diff") / "g.tsv"
+    path.write_text(text, encoding="utf-8")
+    assert outcome(read_graph, path) == outcome(read_graph_per_line, path)
+    assert outcome(read_canonical, path, n) == outcome(read_canonical_per_line, path, n)
+
+
+@given(text_files("rating"))
+@example("a,b,1,5\na\x00,b,-2,6\n")
+@example("a,b,1,5\nb c,a,1,6\n")
+@example("a,b,1,5\nb,a,-1,6\nc,c,2,7\n")  # a zero-sum pair and a self-rating
+@settings(max_examples=500, deadline=None)
+def test_rating_reader_equals_its_per_line_oracle(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("diff") / "r.csv"
+    path.write_text(text, encoding="utf-8")
+    assert outcome(read_graph, path) == outcome(read_graph_per_line, path)
+
+
+def rating_csv(g, path):
+    """A rating file of g's edges: each edge rated once in a seeded
+    direction, a third of them rated back."""
+    rng = np.random.default_rng(3)
+    rows = []
+    for u, v, s in zip(g.u.tolist(), g.v.tolist(), g.sign.tolist()):
+        a, b = (u, v) if rng.random() < 0.5 else (v, u)
+        rows.append(f"{a + 10},{b + 10},{s * int(rng.integers(1, 11))},{len(rows)}\n")
+        if rng.random() < 1 / 3:
+            rows.append(f"{b + 10},{a + 10},{s},{len(rows)}\n")
+    path.write_text("".join(rows))
+
+
+@pytest.mark.parametrize("fmt, bound", [("canonical", 90), ("rating", 400)])
+def test_reader_transient_memory_per_edge(tmp_path, fmt, bound):
+    # The tracemalloc peak of a whole read, per edge. On this input the bulk
+    # readers peak at 63 (canonical) and 272 (rating) B/edge, and the
+    # per-line readers at 123 and 561 B/edge.
+    g = power_law_signed_graph(6000, 20000, seed=21, gamma=2.5)
+    path = tmp_path / "g.txt"
+    (write_canonical if fmt == "canonical" else rating_csv)(g, path)
+    tracemalloc.start()
+    try:
+        m = read_graph(path).m
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m == g.m
+    assert peak / m <= bound
