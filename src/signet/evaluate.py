@@ -12,12 +12,20 @@ from .metrics import TRIANGLE_TYPES, GraphStats, stats_report
 
 
 def ks_statistic(degrees_a: Sequence[int], degrees_b: Sequence[int]) -> float:
-    """Max gap between the empirical degree CDFs."""
-    a = np.sort(np.asarray(degrees_a, dtype=np.float64))
-    b = np.sort(np.asarray(degrees_b, dtype=np.float64))
-    grid = np.union1d(a, b)
-    cdf_a = np.searchsorted(a, grid, side="right") / len(a)
-    cdf_b = np.searchsorted(b, grid, side="right") / len(b)
+    """Max gap between the empirical degree CDFs, each read at every
+    integer up to the largest degree as the cumsum of a bincount. Both
+    sequences must be non-empty and hold non-negative integers only;
+    anything else raises ``ValueError``. Time and memory grow with the
+    largest degree, which a graph's n bounds."""
+    a, b = np.asarray(degrees_a), np.asarray(degrees_b)
+    for d in (a, b):
+        if d.dtype.kind not in "iu" or not np.can_cast(d.dtype, np.int64):
+            raise ValueError(f"degrees must be integers, not {d.dtype}")
+    # max raises ValueError on an empty sequence, and bincount on a
+    # negative value or a nested sequence.
+    size = max(int(a.max()), int(b.max())) + 1
+    cdf_a = np.cumsum(np.bincount(a, minlength=size)) / len(a)
+    cdf_b = np.cumsum(np.bincount(b, minlength=size)) / len(b)
     return float(np.max(np.abs(cdf_a - cdf_b)))
 
 

@@ -22,7 +22,8 @@ The STCL baseline (``baseline.stcl_generate``, through ``_iid_generate``)
 keeps this topology and draws each sign i.i.d., positive with probability
 alpha. ``generate`` remembers each network it returns on its input, weakly,
 under (rho, str(seed)). STCL on the same input, rho and seed takes the
-(u, v) columns of such a network while the caller still holds it.
+(u, v) columns of such a network while the caller still holds it, and the
+two share one ``metrics.stats_report`` measurement of them (``_shared``).
 Otherwise it runs the rounds with ``balance`` off: they read no sign coin,
 and FCL ranks no sign. Either way its signs are one numpy comparison. Step
 t writes ring slot t, and after M steps ``head`` is back at 0, so output
@@ -347,15 +348,21 @@ def _iid_generate(g_input: SignedGraph, params: ModelParams, seed: int) -> Signe
     i.i.d. positive with probability params.alpha (see the module
     docstring): the body of ``baseline.stcl_generate``."""
     memo = g_input._generated
-    topology = memo.get((params.rho, str(seed))) if memo is not None else None
-    if topology is None:
-        topology = _generate(g_input, params, seed, balance=False)
+    held = memo.get((params.rho, str(seed))) if memo is not None else None
+    topology = held if held is not None else _generate(g_input, params, seed, balance=False)
     m = topology.m
     fcl = -(-m // BLOCK)  # the blocks FCL's sign ranking reads
     words = _words(random.Random(f"{seed}:signs"), 2 * fcl)[fcl * BLOCK:][:m]
     sign = np.where(_uniforms(words) < params.alpha, 1, -1).astype(np.int8)
     sign.flags.writeable = False
-    return replace(topology, sign=sign)
+    out = replace(topology, sign=sign)
+    # A held network and its twin share one measurement of their topology,
+    # unless the held one was measured alone and so shares nothing.
+    if held is not None and (held._stats is None or held._shared is not None):
+        if held._shared is None:
+            object.__setattr__(held, "_shared", {})
+        object.__setattr__(out, "_shared", held._shared)
+    return out
 
 
 def _generate(

@@ -62,6 +62,10 @@ class SignedGraph:
     _generated: Optional[weakref.WeakValueDictionary] = field(
         default=None, init=False, repr=False
     )
+    # One dict shared by a network and its STCL twins, which have the same
+    # (u, v) columns; set by ``generate``, filled by the first
+    # ``metrics.stats_report`` of any of them. It holds no graph.
+    _shared: Optional[dict] = field(default=None, init=False, repr=False)
 
     @property
     def m(self) -> int:

@@ -120,7 +120,11 @@ _RATING_ROWS = np.dtype(
 def _load_rows(fh, dtype: np.dtype, delimiter: Optional[str]) -> Optional[np.ndarray]:
     """Every data row of ``fh``, from its start, parsed by one ``np.loadtxt``
     call; None when the file holds a NUL (a text field drops a trailing
-    one), the parse refuses the file, or it warns (an empty file does)."""
+    one), the parse refuses the file, or it warns (an empty file does).
+    A comma-separated parse that refuses the file is tried once more
+    without its blank lines: it reads a whitespace-only line as a
+    one-field row, where ``_data_lines`` skips it."""
+    load = partial(np.loadtxt, dtype=dtype, comments="#", delimiter=delimiter, ndmin=1)
     try:
         fh.seek(0)
         if any("\0" in block for block in iter(partial(fh.read, READ_BLOCK), "")):
@@ -128,7 +132,13 @@ def _load_rows(fh, dtype: np.dtype, delimiter: Optional[str]) -> Optional[np.nda
         fh.seek(0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            return np.loadtxt(fh, dtype=dtype, comments="#", delimiter=delimiter, ndmin=1)
+            try:
+                return load(fh)
+            except ValueError:
+                if delimiter is None:  # whitespace-only lines are skipped
+                    raise
+            fh.seek(0)
+            return load(line for line in fh if line.split("#", 1)[0].strip())
     except (ValueError, Warning):  # a decoding error is a ValueError
         return None
 

@@ -8,14 +8,19 @@ Triangles come from one vectorised listing (``list_triangles``) over the
 graph's edge columns; the census here and the EM wedge likelihoods in
 ``learn`` both read it. ``stats_report`` measures a graph once: its result
 is kept on the graph, so analyze, evaluate and sweep share one measurement
-of the input. The listing itself is not kept.
+of the input. A network and its STCL twin (same (u, v) columns, other
+signs) share one measurement too: the first of them measured keeps its
+result and each triangle's three edge indices in the pair's ``_shared``
+dict, and the other reuses the degrees, clustering and histogram and
+counts its census over those indices. Only such a pair keeps a listing.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,6 +101,14 @@ class TriangleList:
     ab: np.ndarray
 
 
+class TriangleEdges(NamedTuple):
+    """A listing's edge-index columns, all that a census reads."""
+
+    xa: np.ndarray
+    xb: np.ndarray
+    ab: np.ndarray
+
+
 def list_triangles(g: SignedGraph) -> TriangleList:
     """Degree-ordered forward triangle listing over ``g``'s edge columns.
 
@@ -108,8 +121,9 @@ def list_triangles(g: SignedGraph) -> TriangleList:
     the triangles found.
     """
     n, m = g.n, g.m
+    by_rank = np.argsort(g.degrees(), kind="stable")
     rank = np.empty(n, dtype=np.int64)
-    rank[np.argsort(g.degrees(), kind="stable")] = np.arange(n)
+    rank[by_rank] = np.arange(n)
     ru, rv = rank[g.u], rank[g.v]
     lo, hi = np.minimum(ru, rv), np.maximum(ru, rv)
     # Forward edges sorted by (lo, hi): each lo's row lists its forward
@@ -122,7 +136,6 @@ def list_triangles(g: SignedGraph) -> TriangleList:
     row_len = row_end[flo] - 1 - np.arange(m)
     wedge_end = np.cumsum(row_len)
     n_wedges = int(wedge_end[-1]) if m else 0
-    by_rank = np.argsort(rank)
     found: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     for w0 in range(0, n_wedges, WEDGE_BLOCK):
         w = np.arange(w0, min(w0 + WEDGE_BLOCK, n_wedges))
@@ -142,9 +155,10 @@ def list_triangles(g: SignedGraph) -> TriangleList:
     )
 
 
-def triangle_census(g: SignedGraph, tri: TriangleList) -> TriangleCensus:
-    """Count each triangle of ``g``'s listing ``tri`` once, classified by
-    its three edge signs: a bincount of each triangle's negative-edge count.
+def triangle_census(g: SignedGraph, tri: TriangleList | TriangleEdges) -> TriangleCensus:
+    """Count each triangle of ``g``'s listing ``tri``, or of its edge-index
+    columns, once, classified by its three edge signs: a bincount of each
+    triangle's negative-edge count.
     """
     neg = g.sign < 0
     counts = np.bincount(
@@ -164,15 +178,26 @@ def stats_report(g: SignedGraph) -> GraphStats:
 
 
 def _measure(g: SignedGraph) -> GraphStats:
+    shared = g._shared
+    if shared:  # a twin was measured first: only the signs differ
+        census = triangle_census(g, shared["edges"])
+        return replace(
+            shared["stats"], eta=compute_eta(g), delta_b=census.delta_b,
+            census=census, m_positive=g.m_positive,
+        )
     tri = list_triangles(g)
     census = triangle_census(g, tri)
     through = np.bincount(np.concatenate([tri.x, tri.a, tri.b]), minlength=g.n)
+    if shared is not None:
+        dtype = np.int32 if g.m <= np.iinfo(np.int32).max else np.int64
+        shared["edges"] = TriangleEdges(tri.xa.astype(dtype), tri.xb.astype(dtype),
+                                        tri.ab.astype(dtype))
     del tri
     d = g.degrees()
     clustering = np.zeros(g.n)
     np.divide(2.0 * through, d * (d - 1), out=clustering, where=d >= 2)
     degrees = d.tolist()
-    return GraphStats(
+    stats = GraphStats(
         eta=compute_eta(g),
         delta_b=census.delta_b,
         degrees=tuple(degrees),
@@ -183,3 +208,6 @@ def _measure(g: SignedGraph) -> GraphStats:
         m=g.m,
         m_positive=g.m_positive,
     )
+    if shared is not None:
+        shared["stats"] = stats
+    return stats

@@ -1,8 +1,12 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from signet.baseline import stcl_generate
 from signet.evaluate import EvaluationReport, evaluate, ks_statistic, triangle_l1
 from signet.generate import generate
 from signet.io import write_canonical
@@ -22,6 +26,40 @@ def test_ks_disjoint_supports():
 def test_ks_known_value():
     # ECDFs: a jumps to 1 at 1; b jumps 0.5 at 1 and 1.0 at 2.
     assert ks_statistic([1, 1], [1, 2]) == pytest.approx(0.5)
+
+
+def ks_union_grid(degrees_a, degrees_b):
+    """The KS statistic read on the union of both samples' values, each
+    CDF found by a binary search in its sorted sample."""
+    a = np.sort(np.asarray(degrees_a, dtype=np.float64))
+    b = np.sort(np.asarray(degrees_b, dtype=np.float64))
+    grid = np.union1d(a, b)
+    cdf_a = np.searchsorted(a, grid, side="right") / len(a)
+    cdf_b = np.searchsorted(b, grid, side="right") / len(b)
+    return float(np.max(np.abs(cdf_a - cdf_b)))
+
+
+degree_lists = st.lists(st.integers(0, 60) | st.integers(0, 5000), min_size=1, max_size=80)
+
+
+@given(degree_lists, degree_lists)
+@example([0], [0])
+@example([0], [7])
+@example([3], [0, 0, 0, 3, 3, 9])
+@settings(max_examples=300, deadline=None)
+def test_ks_equals_the_union_grid_form(a, b):
+    assert ks_statistic(a, b) == ks_union_grid(a, b)
+    assert ks_statistic(tuple(a), np.array(b)) == ks_union_grid(a, b)
+
+
+@pytest.mark.parametrize("bad", [
+    [], [1.0, 2.0], [-1, 2], [True], [2**64], np.array([1], np.uint64), ["1"], [[1, 2]],
+])
+def test_ks_refuses_anything_but_non_negative_integers(bad):
+    with pytest.raises(ValueError):
+        ks_statistic(bad, [1, 2])
+    with pytest.raises(ValueError):
+        ks_statistic([1, 2], bad)
 
 
 def test_triangle_l1_symmetry_and_zero():
@@ -63,6 +101,18 @@ def test_pipeline_lists_the_input_twice(listings):
     report = evaluate(g, nets)
     assert listings == [g, g, *nets]
     assert report.input_stats["triangles_total"] == stats.census.total
+
+
+def test_a_batch_and_its_stcl_twins_list_each_topology_once(listings):
+    g = power_law_signed_graph(300, 1200, seed=5, eta=0.85)
+    params = ModelParams(rho=0.5, alpha=0.85, beta=0.9, eta=0.85, delta_b=0.8)
+    nets = [generate(g, params, seed=s) for s in (1, 2)]
+    twins = [stcl_generate(g, params.rho, s) for s in (1, 2)]
+    evaluate(g, nets)
+    report = evaluate(g, twins)
+    assert listings == [g, *nets]
+    alone = evaluate(g, [dataclasses.replace(t) for t in twins])
+    assert report.to_dict() == alone.to_dict()
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch):

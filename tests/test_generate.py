@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import weakref
 from collections import Counter, OrderedDict, deque
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from signet.generate import (
 from signet.graph import Sign, build_graph, build_sampling_vector
 from signet.io import read_graph, write_canonical
 from signet.learn import ModelParams
-from signet.metrics import compute_eta
+from signet.metrics import compute_eta, stats_report
 from tests.conftest import power_law_signed_graph, sign_lookup
 
 G = importlib.import_module("signet.generate")
@@ -892,6 +893,49 @@ def test_generated_networks_are_held_weakly(monkeypatch):
     assert len(g._generated) == 0
     stcl_generate(g, 0.6, seed=3)
     assert steps[0] == 4 * g.m
+
+
+@given(small_graphs(), unit, unit, unit, unit, st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_a_network_and_its_stcl_twin_share_one_measurement(
+    g, rho, alpha, beta, eta, seed, twin_first
+):
+    try:
+        net = generate(g, make_params(rho, alpha, beta, eta), seed)
+    except SignetError:
+        return
+    twin = stcl_generate(g, rho, seed)
+    pair = (twin, net) if twin_first else (net, twin)
+    first, second = map(stats_report, pair)
+    for h, stats in zip(pair, (first, second)):
+        assert stats == stats_report(fresh(h))  # census, eta, delta_b and the rest
+    assert second.degrees is first.degrees
+    assert second.clustering is first.clustering
+    assert second.degree_histogram is first.degree_histogram
+
+
+def test_only_a_network_and_its_twin_keep_a_listing():
+    g = ORACLE_GRAPHS["power-law"]()
+    cold = stcl_generate(g, 0.6, seed=3)  # no held network: the rounds run
+    alone = generate(g, make_params(rho=0.6), seed=4)
+    for h in (g, cold, alone):
+        stats_report(h)
+    assert g._shared is cold._shared is alone._shared is None
+    late = stcl_generate(g, 0.6, seed=4)  # its network was measured alone
+    stats_report(late)
+    assert late._shared is alone._shared is None
+    net = generate(g, make_params(rho=0.6), seed=3)
+    twin = stcl_generate(g, 0.6, seed=3)
+    stats_report(net)
+    assert twin._shared is net._shared
+    for column in net._shared["edges"]:
+        assert column.dtype == np.int32
+        assert len(column) == stats_report(net).census.total
+    stats_report(twin)
+    held = weakref.ref(net)
+    del net
+    gc.collect()
+    assert held() is None  # the shared measurement holds no graph
 
 
 def test_seed_keys_the_memo_by_its_stream_name():

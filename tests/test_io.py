@@ -266,6 +266,20 @@ def test_read_graph_reads_a_canonical_file_once(tmp_path):
     assert peaks["read_graph"] <= 1.1 * peaks["read_canonical"]
 
 
+# Blank and whitespace-only lines, which a comma-separated parse refuses.
+BLANK_LINES = "a,b,1,5\n\n  \nc,d,1,5\n"
+
+
+@pytest.mark.parametrize("text", [BLANK_LINES, "a,b,1,5\n  # a note\nc,d,1,5\n"])
+def test_read_graph_parses_a_rating_file_with_blank_lines_in_bulk(tmp_path, text):
+    path = tmp_path / "ratings.csv"
+    path.write_text(text)
+    with mock.patch.object(io, "parse_rating_lines", side_effect=AssertionError):
+        g = read_graph(path)
+    assert g.edges == ((0, 1, Sign.POSITIVE), (2, 3, Sign.POSITIVE))
+    assert g.labels == ("a", "b", "c", "d")
+
+
 def test_read_graph_skips_a_byte_order_mark_in_a_rating_file(tmp_path):
     path = tmp_path / "ratings.csv"
     path.write_text("\ufeffa,b,1,5\nc,a,1,7\n", encoding="utf-8")
@@ -390,6 +404,7 @@ def test_canonical_readers_equal_their_per_line_oracles(tmp_path_factory, text, 
 @example("a,b,1,5\na\x00,b,-2,6\n")
 @example("a,b,1,5\nb c,a,1,6\n")
 @example("a,b,1,5\nb,a,-1,6\nc,c,2,7\n")  # a zero-sum pair and a self-rating
+@example(BLANK_LINES)
 @settings(max_examples=500, deadline=None)
 def test_rating_reader_equals_its_per_line_oracle(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("diff") / "r.csv"
