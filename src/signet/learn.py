@@ -6,8 +6,10 @@ per edge orientation, with sums taken in the same order as the scalar
 definition ``em_edge_responsibility``; each iteration then scores every
 edge orientation with array expressions, each responsibility equal bit for
 bit to the scalar definition's.
-``learn_parameters`` lists the input's triangles once (``metrics``) and
-reads both the census and the wedge likelihoods from that listing.
+``learn_parameters`` reads eta and the census from the input's measurement
+(``metrics.stats_report``) and the wedge likelihoods from that
+measurement's triangle listing, kept as edge indices until learn takes it:
+the input's triangles are listed once across analyze and learn.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from .estimators import (
     delta_triangle_fast,
 )
 from .graph import SignedGraph
-from .metrics import TriangleList, compute_eta, list_triangles, triangle_census
+from .metrics import TriangleList, stats_report, take_triangles
+from .metrics import triangle_census  # noqa: F401  (bench/tracer.py wraps it here)
 
 log = logging.getLogger(__name__)
 
@@ -130,7 +133,11 @@ def _wedge_terms(g: SignedGraph, tri: TriangleList) -> np.ndarray:
         (tri.ab, tri.a, tri.b, tri.xa),
         (tri.ab, tri.b, tri.a, tri.xb),
     ]):
-        terms[part * t:(part + 1) * t] = (2 * e + (i > j)) * m + key
+        out = terms[part * t:(part + 1) * t]  # (2e + (i > j)) M + key, in place
+        np.multiply(e, 2, out=out, dtype=np.int64)
+        out += i > j
+        out *= m
+        out += key
     terms.sort()
     return terms
 
@@ -235,22 +242,20 @@ def learn_parameters(g: SignedGraph, cfg: Optional[LearnConfig] = None) -> Model
     they stop moving. A final value that left [-CLAMP_EPS, 1 + CLAMP_EPS]
     before its clamp is warned about once.
 
-    The triangles are listed once, for the census and the wedge
-    likelihoods, and the listing is released before EM iterates.
+    eta and the census come from ``stats_report(g)``, which measures ``g``
+    unless that was done before, and the wedge likelihoods from the
+    listing it kept, which ``g`` no longer holds once they are computed.
     """
     cfg = cfg or LearnConfig()
     warnings: list[str] = []
-    eta = compute_eta(g)
-    tri = list_triangles(g)
-    census = triangle_census(g, tri)
-    delta_b = census.delta_b
-    if census.total == 0:
+    stats = stats_report(g)
+    eta, delta_b = stats.eta, stats.delta_b
+    if stats.census.total == 0:
         msg = "input graph has no triangles; delta_b set to 0"
         log.warning(msg)
         warnings.append(msg)
 
-    wedge = wedge_likelihoods(g, tri)
-    del tri
+    wedge = wedge_likelihoods(g, take_triangles(g))
     rho, em_trace = em_learn_rho(g, cfg, wedge)
 
     degrees = g.degrees()

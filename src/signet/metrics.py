@@ -7,16 +7,22 @@ triangle counts feeding local clustering), the balanced-triangle fraction
 Triangles come from one vectorised listing (``list_triangles``) over the
 graph's edge columns; the census here and the EM wedge likelihoods in
 ``learn`` both read it. ``stats_report`` measures a graph once: its result
-is kept on the graph, so analyze, evaluate and sweep share one measurement
-of the input. A network and its STCL twin (same (u, v) columns, other
-signs) share one measurement too: the first of them measured keeps its
-result and each triangle's three edge indices in the pair's ``_shared``
-dict, and the other reuses the degrees, clustering and histogram and
-counts its census over those indices. Only such a pair keeps a listing.
+is kept on the graph, so analyze, learn, evaluate and sweep share one
+measurement of the input. The measurement keeps its listing as each
+triangle's three edge indices (``TriangleEdges``, int32 while M < 2^31) in
+the graph's ``_triangles`` slot, so the input's triangles are listed once
+across analyze and learn: ``take_triangles`` hands them to learn, which
+recovers each triangle's vertices and leaves the graph without a listing,
+and ``evaluate`` drops a generated network's as soon as it has measured it.
+A network and its STCL twin (same (u, v) columns, other signs) share one
+measurement instead: the first of them measured keeps its result and its
+edge indices in the pair's ``_shared`` dict, and the other reuses the
+degrees, clustering and histogram and counts its census over those indices.
 """
 
 from __future__ import annotations
 
+import mmap
 from collections import Counter
 from dataclasses import dataclass, replace
 from types import MappingProxyType
@@ -108,6 +114,17 @@ class TriangleEdges(NamedTuple):
     xb: np.ndarray
     ab: np.ndarray
 
+    def listing(self, g: SignedGraph) -> TriangleList:
+        """The listing of ``g`` these columns came from, its vertices
+        recovered: x is the endpoint that edges xa and xb share, a and b
+        the other ends of xa and xb."""
+        ua, a = g.u[self.xa], g.v[self.xa]
+        ub, b = g.u[self.xb], g.v[self.xb]
+        x = np.where((ua == ub) | (ua == b), ua, a)
+        a += ua - x  # the end of xa that is not x, in place
+        b += ub - x
+        return TriangleList(x=x, a=a, b=b, xa=self.xa, xb=self.xb, ab=self.ab)
+
 
 def list_triangles(g: SignedGraph) -> TriangleList:
     """Degree-ordered forward triangle listing over ``g``'s edge columns.
@@ -120,16 +137,33 @@ def list_triangles(g: SignedGraph) -> TriangleList:
     sorted forward edge keys, keeping memory bounded by the block size plus
     the triangles found.
     """
-    n, m = g.n, g.m
+    by_rank, fwd, flo, fhi = _forward_edges(g)
+    p, q, pos = _closed_wedges(g.n, flo, fhi)
+    return TriangleList(
+        x=by_rank[flo[p]], a=by_rank[fhi[p]], b=by_rank[fhi[q]],
+        xa=fwd[p], xb=fwd[q], ab=fwd[pos],
+    )
+
+
+def _forward_edges(g: SignedGraph) -> tuple[np.ndarray, ...]:
+    """The vertices in (degree, id) rank order, and the forward edges sorted
+    by their endpoints' ranks (lo, hi): each edge's index in ``g``, its lo
+    and its hi. Each lo's row lists its forward neighbours in rank order.
+    """
+    n = g.n
     by_rank = np.argsort(g.degrees(), kind="stable")
     rank = np.empty(n, dtype=np.int64)
     rank[by_rank] = np.arange(n)
     ru, rv = rank[g.u], rank[g.v]
     lo, hi = np.minimum(ru, rv), np.maximum(ru, rv)
-    # Forward edges sorted by (lo, hi): each lo's row lists its forward
-    # neighbours in rank order.
     fwd = np.argsort(lo * n + hi)
-    flo, fhi = lo[fwd], hi[fwd]
+    return by_rank, fwd, lo[fwd], hi[fwd]
+
+
+def _closed_wedges(n: int, flo: np.ndarray, fhi: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Positions (p, q, pos) in the sorted forward edges of every forward
+    wedge p, q (p < q in one row) that forward edge pos closes."""
+    m = len(flo)
     fkey = flo * n + fhi
     row_end = np.cumsum(np.bincount(flo, minlength=n))
     # Forward edge p pairs with every later edge of its row: row_len[p] wedges.
@@ -145,14 +179,9 @@ def list_triangles(g: SignedGraph) -> TriangleList:
         pos = np.minimum(np.searchsorted(fkey, key), m - 1)
         hit = fkey[pos] == key
         found.append((p[hit], q[hit], pos[hit]))
-    if found:
-        p, q, pos = (np.concatenate(parts) for parts in zip(*found))
-    else:
-        p = q = pos = np.empty(0, dtype=np.int64)
-    return TriangleList(
-        x=by_rank[flo[p]], a=by_rank[fhi[p]], b=by_rank[fhi[q]],
-        xa=fwd[p], xb=fwd[q], ab=fwd[pos],
-    )
+    if not found:
+        return (np.empty(0, dtype=np.int64),) * 3
+    return tuple(np.concatenate(parts) for parts in zip(*found))
 
 
 def triangle_census(g: SignedGraph, tri: TriangleList | TriangleEdges) -> TriangleCensus:
@@ -177,6 +206,38 @@ def stats_report(g: SignedGraph) -> GraphStats:
     return g._stats
 
 
+def take_triangles(g: SignedGraph) -> TriangleList:
+    """The triangle listing of ``g``'s measurement (``stats_report``),
+    after which ``g`` holds none of its own; a listing that ``g`` shares
+    with its STCL twin stays with the pair. If an earlier call took it,
+    ``g`` is listed again."""
+    stats_report(g)
+    edges = g._triangles if g._shared is None else g._shared["edges"]
+    drop_triangles(g)
+    return list_triangles(g) if edges is None else edges.listing(g)
+
+
+def drop_triangles(g: SignedGraph) -> None:
+    """Let ``g`` stop holding the listing its measurement kept."""
+    object.__setattr__(g, "_triangles", None)
+
+
+def _kept(columns: list[np.ndarray], dtype) -> np.ndarray:
+    """The equal-length ``columns`` as the rows of one ``dtype`` array in
+    its own anonymous memory map, each source column freed once copied.
+    Allocated from the heap, after the transient arrays of a listing, a
+    long-lived array would keep the heap from shrinking below it."""
+    size = len(columns) * len(columns[0]) * np.dtype(dtype).itemsize
+    if size == 0:
+        return np.empty((len(columns), 0), dtype=dtype)
+    out = np.frombuffer(mmap.mmap(-1, size), dtype=dtype).reshape(len(columns), -1)
+    for i in range(len(columns)):
+        out[i] = columns[i]
+        columns[i] = None
+    out.flags.writeable = False
+    return out
+
+
 def _measure(g: SignedGraph) -> GraphStats:
     shared = g._shared
     if shared:  # a twin was measured first: only the signs differ
@@ -188,11 +249,12 @@ def _measure(g: SignedGraph) -> GraphStats:
     tri = list_triangles(g)
     census = triangle_census(g, tri)
     through = np.bincount(np.concatenate([tri.x, tri.a, tri.b]), minlength=g.n)
-    if shared is not None:
-        dtype = np.int32 if g.m <= np.iinfo(np.int32).max else np.int64
-        shared["edges"] = TriangleEdges(tri.xa.astype(dtype), tri.xb.astype(dtype),
-                                        tri.ab.astype(dtype))
+    # Keep the edge indices alone, narrowed one column at a time once x, a
+    # and b are gone, so that keeping them does not raise the peak.
+    columns = [tri.xa, tri.xb, tri.ab]
     del tri
+    dtype = np.int32 if g.m <= np.iinfo(np.int32).max else np.int64
+    edges = TriangleEdges(*_kept(columns, dtype))
     d = g.degrees()
     clustering = np.zeros(g.n)
     np.divide(2.0 * through, d * (d - 1), out=clustering, where=d >= 2)
@@ -208,6 +270,8 @@ def _measure(g: SignedGraph) -> GraphStats:
         m=g.m,
         m_positive=g.m_positive,
     )
-    if shared is not None:
-        shared["stats"] = stats
+    if shared is None:
+        object.__setattr__(g, "_triangles", edges)
+    else:
+        shared.update(stats=stats, edges=edges)
     return stats

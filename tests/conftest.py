@@ -5,7 +5,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from signet import learn, metrics
+from signet import metrics
 from signet.graph import Sign, SignedGraph, build_graph
 
 
@@ -168,7 +168,8 @@ def path3() -> SignedGraph:
 
 @pytest.fixture
 def listings(monkeypatch) -> list[SignedGraph]:
-    """Every graph whose triangles metrics or learn lists, in call order."""
+    """Every graph whose triangles are listed, in call order: learn lists
+    through metrics too."""
     listed = []
     list_triangles = metrics.list_triangles
 
@@ -177,5 +178,4 @@ def listings(monkeypatch) -> list[SignedGraph]:
         return list_triangles(g)
 
     monkeypatch.setattr(metrics, "list_triangles", counted)
-    monkeypatch.setattr(learn, "list_triangles", counted)
     return listed

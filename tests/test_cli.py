@@ -239,10 +239,10 @@ def test_sweep_measures_the_input_once(runner, network_file, tmp_path, monkeypat
     )
     assert result.exit_code == 0, result.output
     (g,) = reads
-    # learn lists once; the first grid point measures the input's stats,
-    # and the other three reuse them.
-    assert sum(h is g for h in listings) == 2
-    assert len(listings) == 2 + 4
+    # learn measures the input and lists it once; every grid point reuses
+    # that measurement and lists only its own network.
+    assert sum(h is g for h in listings) == 1
+    assert len(listings) == 1 + 4
 
 
 def test_sweep_holds_no_generated_network(runner, network_file, tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from signet import evaluate as evaluate_module
 from signet.baseline import stcl_generate
 from signet.evaluate import EvaluationReport, evaluate, ks_statistic, triangle_l1
 from signet.generate import generate
@@ -92,15 +93,42 @@ def test_evaluate_fields_all_finite():
         assert np.isfinite(v)
 
 
-def test_pipeline_lists_the_input_twice(listings):
-    # Once for its stats, once in learn; evaluate reuses the stats.
+def test_pipeline_lists_the_input_once(listings):
+    # For its stats; learn reads that listing and evaluate the stats.
     g = power_law_signed_graph(300, 1200, seed=4, eta=0.85)
     stats = stats_report(g)
     params = learn_parameters(g, LearnConfig(seed=1))
     nets = [generate(g, params, seed=s) for s in (1, 2)]
     report = evaluate(g, nets)
-    assert listings == [g, g, *nets]
+    assert listings == [g, *nets]
     assert report.input_stats["triangles_total"] == stats.census.total
+
+
+def test_evaluate_reads_the_input_degrees_as_one_array(monkeypatch):
+    g = power_law_signed_graph(300, 1200, seed=6, eta=0.85)
+    params = ModelParams(rho=0.5, alpha=0.85, beta=0.9, eta=0.85, delta_b=0.8)
+    nets = [generate(g, params, seed=s) for s in (1, 2, 3)]
+    seen = []
+
+    def spy(a, b):
+        seen.append(a)
+        return ks_statistic(a, b)
+
+    monkeypatch.setattr(evaluate_module, "ks_statistic", spy)
+    report = evaluate(g, nets)
+    assert isinstance(seen[0], np.ndarray) and all(a is seen[0] for a in seen)
+    expected = [ks_statistic(stats_report(g).degrees, stats_report(h).degrees) for h in nets]
+    got = [r["deltas"]["degree_ks"] for r in report.runs]
+    assert list(map(float.hex, got)) == list(map(float.hex, expected))
+
+
+def test_evaluate_leaves_no_listing_on_a_network():
+    g = power_law_signed_graph(300, 1200, seed=6, eta=0.85)
+    params = ModelParams(rho=0.5, alpha=0.85, beta=0.9, eta=0.85, delta_b=0.8)
+    net = generate(g, params, seed=1)
+    evaluate(g, [net])
+    assert net._stats is not None and net._triangles is None
+    assert g._triangles is not None  # kept for learn
 
 
 def test_a_batch_and_its_stcl_twins_list_each_topology_once(listings):

@@ -35,7 +35,7 @@ from signet.generate import (
 )
 from signet.graph import Sign, build_graph, build_sampling_vector
 from signet.io import read_graph, write_canonical
-from signet.learn import ModelParams
+from signet.learn import LearnConfig, ModelParams, learn_parameters
 from signet.metrics import compute_eta, stats_report
 from tests.conftest import power_law_signed_graph, sign_lookup
 
@@ -915,6 +915,8 @@ def test_a_network_and_its_stcl_twin_share_one_measurement(
 
 
 def test_only_a_network_and_its_twin_keep_a_listing():
+    # A shared listing, in ``_shared``; a graph measured alone keeps its own
+    # in ``_triangles`` until learn takes it or evaluate drops it.
     g = ORACLE_GRAPHS["power-law"]()
     cold = stcl_generate(g, 0.6, seed=3)  # no held network: the rounds run
     alone = generate(g, make_params(rho=0.6), seed=4)
@@ -936,6 +938,20 @@ def test_only_a_network_and_its_twin_keep_a_listing():
     del net
     gc.collect()
     assert held() is None  # the shared measurement holds no graph
+
+
+def test_learn_on_a_network_reads_its_twins_listing_and_leaves_it(listings):
+    g = ORACLE_GRAPHS["power-law"]()
+    net = generate(g, make_params(rho=0.6), seed=3)
+    twin = stcl_generate(g, 0.6, seed=3)
+    twin_stats = stats_report(twin)
+    edges = net._shared["edges"]
+    learned = learn_parameters(net, LearnConfig(em_tol=0.0, em_max_iters=5))
+    assert listings == [twin]
+    assert twin._stats is twin_stats and twin_stats == stats_report(fresh(twin))
+    assert net._shared is twin._shared and net._shared["edges"] is edges
+    alone = learn_parameters(fresh(net), LearnConfig(em_tol=0.0, em_max_iters=5))
+    assert learned.to_dict() == alone.to_dict()
 
 
 def test_seed_keys_the_memo_by_its_stream_name():

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from signet import learn, metrics
 from signet.errors import EmptyGraphError, RhoAtOneError
 from signet.graph import Sign, build_graph
+from signet.metrics import list_triangles, stats_report
 from signet.learn import (
     AB_MAX_ITERS,
     AB_TOL,
@@ -324,6 +327,36 @@ def test_learn_lists_the_triangles_once(listings):
     assert listings == [g]
 
 
+def test_learn_leaves_the_input_without_a_listing():
+    g = power_law_signed_graph(200, 900, seed=3, eta=0.8)
+    total = stats_report(g).census.total
+    assert total > 0
+    assert sum(column.nbytes for column in g._triangles) == 12 * total
+    learn_parameters(g, LearnConfig(seed=1))
+    assert g._triangles is None and g._shared is None
+    unmeasured = dataclasses.replace(g)
+    learn_parameters(unmeasured, LearnConfig(seed=1))
+    assert unmeasured._stats is not None and unmeasured._triangles is None
+
+
+def test_learn_transient_memory_per_triangle(monkeypatch):
+    # The tracemalloc peak of learn after the input was measured, per
+    # triangle, with blocks small enough that the whole-listing arrays
+    # dominate. Reading the kept edge indices, learn peaks at 86 B per
+    # triangle on this input; listing the triangles again would peak at 148.
+    monkeypatch.setattr(metrics, "WEDGE_BLOCK", 1024)
+    monkeypatch.setattr(learn, "TERM_BLOCK", 1024)
+    g = power_law_signed_graph(6000, 20000, seed=21, gamma=2.1)
+    total = stats_report(g).census.total
+    tracemalloc.start()
+    try:
+        learn_parameters(g, LearnConfig(seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / total <= 100
+
+
 def test_learned_parameters_do_not_depend_on_the_seed():
     g = power_law_signed_graph(200, 900, seed=3, eta=0.8)
     one, two = (learn_parameters(g, LearnConfig(seed=seed)) for seed in (1, 2))
@@ -385,3 +418,35 @@ def test_learned_parameters_in_unit_interval_and_every_clamp_warned(g, seed):
         if not -CLAMP_EPS <= raw <= 1.0 + CLAMP_EPS
     ]
     assert [w for w in params.warnings if "clamped" in w] == expected
+
+
+@st.composite
+def triangle_free_graphs(draw):
+    """A signed bipartite graph on 3-10 vertices with at least two edges."""
+    left, right = draw(st.integers(1, 5)), draw(st.integers(2, 5))
+    every = [(i, left + j) for i in range(left) for j in range(right)]
+    pairs = draw(st.lists(st.sampled_from(every), min_size=2, unique=True))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=len(pairs), max_size=len(pairs)))
+    return build_graph([(u, v, s) for (u, v), s in zip(pairs, signs)], n=left + right)
+
+
+def learned(g, cfg):
+    params = learn_parameters(g, cfg)
+    values = (params.rho, params.alpha, params.beta, params.eta, params.delta_b)
+    return [float.hex(v) for v in values], params.warnings
+
+
+@given(small_signed_graphs() | triangle_free_graphs(), st.integers(1, 12))
+@settings(max_examples=150, deadline=None)
+def test_learned_parameters_do_not_depend_on_when_the_input_is_measured(g, iters):
+    cfg = LearnConfig(em_tol=0.0, em_max_iters=iters)
+    alone = learned(dataclasses.replace(g), cfg)
+    before = dataclasses.replace(g)
+    stats_report(before)
+    assert learned(before, cfg) == alone
+    after = dataclasses.replace(g)
+    assert learned(after, cfg) == alone
+    assert stats_report(after) == stats_report(dataclasses.replace(g))
+    assert learned(after, cfg) == alone  # its listing was taken: listed again
+    rho, _ = em_learn_rho(g, cfg, learn.wedge_likelihoods(g, list_triangles(g)))
+    assert alone[0][0] == float.hex(rho)

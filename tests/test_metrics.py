@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from signet.errors import EmptyGraphError
 from signet.graph import Sign, build_graph
 from signet.metrics import (
     TriangleCensus,
+    TriangleEdges,
     compute_eta,
     list_triangles,
     stats_report,
@@ -18,6 +21,7 @@ from signet.metrics import (
 from tests.conftest import (
     brute_force_census,
     neighbor_rows,
+    power_law_signed_graph,
     random_signed_graph,
     sign_lookup,
 )
@@ -240,3 +244,41 @@ def test_census_and_per_vertex_match_oracle_any_block(g, block):
 def test_census_degenerate_shapes_match_oracle(g, block, monkeypatch):
     monkeypatch.setattr(metrics, "WEDGE_BLOCK", block)
     assert_census_matches_oracle(g)
+
+
+@given(signed_graphs(), st.integers(1, 7))
+@settings(max_examples=150, deadline=None)
+def test_edge_indices_recover_the_listing(g, block):
+    # x is the endpoint that edges xa and xb share; a and b their other ends.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "WEDGE_BLOCK", block)
+        tri = list_triangles(g)
+        edges = TriangleEdges(*(c.astype(np.int32) for c in (tri.xa, tri.xb, tri.ab)))
+        got = edges.listing(g)
+        for name in ("x", "a", "b", "xa", "xb", "ab"):
+            assert getattr(got, name).tolist() == getattr(tri, name).tolist()
+        if g.m == 0:
+            return
+        measured = dataclasses.replace(g)
+        stats_report(measured)
+        kept = measured._triangles
+    assert [c.dtype for c in kept] == [np.int32] * 3
+    assert [c.tolist() for c in kept] == [c.tolist() for c in edges]
+
+
+def test_stats_report_transient_memory_per_triangle(monkeypatch):
+    # The tracemalloc peak of measuring a graph, per triangle, with blocks
+    # small enough that the whole-listing arrays dominate. It is 88 B per
+    # triangle on this input; a listing that held its ranks and wedge
+    # blocks until it returned peaked at 149. The edge indices the graph
+    # keeps (12 B per triangle) sit in their own memory map, which
+    # tracemalloc does not see; they are copied once x, a and b are freed.
+    monkeypatch.setattr(metrics, "WEDGE_BLOCK", 1024)
+    g = power_law_signed_graph(6000, 20000, seed=21, gamma=2.1)
+    tracemalloc.start()
+    try:
+        total = stats_report(g).census.total
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / total <= 100
