@@ -55,7 +55,8 @@ def stcl_params(g_input: SignedGraph, rho: float) -> ModelParams:
 def stcl_generate(g_input: SignedGraph, rho: float, seed: int) -> SignedGraph:
     """Generate with wedge closures for topology but signs drawn i.i.d.
     positive with probability eta, ignoring balance entirely. The topology
-    is that of ``generate`` on the same input, rho and seed, and is taken
-    from such a network when the caller still holds one.
+    is that of ``generate`` on the same input, rho and seed: taken from such
+    a network when the caller still holds one, else from ``generate``'s own
+    rounds, run here at STCL's parameters with their signs discarded.
     """
     return _iid_generate(g_input, stcl_params(g_input, rho), seed)

@@ -13,22 +13,24 @@ coin, the walk hops and the sampling-vector picks. The sign stream draws
 FCL's sign placement, the balanced-branch and tie coins and the signs of
 random insertions. No sign steers a walk or a collision, so the live edges,
 and with them the output's (u, v) columns, depend only on (input, rho,
-seed): alpha, beta, eta and the STCL switch change signs only. A stream is
-read in whole blocks of ``BLOCK`` 64-bit words from ``getrandbits``, which
-numpy turns into 53-bit uniforms x in [0, 1) or into indices floor(x * d).
-The rounds take them one at a time with ``next()``.
+seed): alpha, beta and eta change signs only. A stream is read in whole
+blocks of ``BLOCK`` 64-bit words from ``getrandbits``, which numpy turns
+into 53-bit uniforms x in [0, 1) or into indices floor(x * d). The rounds
+take them one at a time with ``next()``.
 
-The STCL baseline (``baseline.stcl_generate``, through ``_iid_generate``)
-keeps this topology and draws each sign i.i.d., positive with probability
-alpha. ``generate`` remembers each network it returns on its input, weakly,
-under (rho, str(seed)). STCL on the same input, rho and seed takes the
-(u, v) columns of such a network while the caller still holds it, and the
-two share one ``metrics.stats_report`` measurement of them (``_shared``).
-Otherwise it runs the rounds with ``balance`` off: they read no sign coin,
-and FCL ranks no sign. Either way its signs are one numpy comparison. Step
-t writes ring slot t, and after M steps ``head`` is back at 0, so output
-edge t is step t's edge. Its sign is positive iff uniform t of the sign
-stream, counted after the blocks FCL's sign ranking reads, is below alpha.
+There is one path through the rounds. The STCL baseline
+(``baseline.stcl_generate``, through ``_iid_generate``) keeps their
+topology and draws each sign i.i.d., positive with probability alpha.
+``generate`` remembers each network it returns on its input, weakly, under
+(rho, str(seed)). STCL on the same input, rho and seed takes the (u, v)
+columns of such a network while the caller still holds it, and the two
+share one ``metrics.stats_report`` measurement of them (``_shared``).
+Otherwise it runs the rounds itself, at its own parameters, and keeps only
+their columns: the balance-aware signs they draw are discarded. Either way
+its signs are one numpy comparison over a fresh sign stream. Step t writes
+ring slot t, and after M steps ``head`` is back at 0, so output edge t is
+step t's edge. Its sign is positive iff uniform t of the sign stream,
+counted after the blocks FCL's sign ranking reads, is below alpha.
 
 FCL draws its endpoint pairs in bulk, in chunks of whole blocks that hold
 at least 9M/8 pairs: pair i is the two entries of pi that words 2i and
@@ -110,8 +112,6 @@ class GenerationState:
     alpha: float
     beta: float
     seed: int
-    # Off for STCL: the rounds draw no sign (see the module docstring).
-    balance: bool = True
     # ids[v] is v; every vertex id the state holds is one of these objects.
     ids: list[int] = field(init=False)
     # The two streams and the draws the rounds take from them.
@@ -180,8 +180,6 @@ def fcl_initialize(state: GenerationState, eta: float) -> None:
     from pi, then make exactly round(eta * M) of them positive (see the
     module docstring)."""
     pi, m, n = state.pi, state.target_m, state.n
-    if len(pi) == 0:
-        raise StallError("empty sampling vector")
     budget = 100 * m
     chunk = -(-2 * (m + m // 8) // BLOCK)
     pairs = np.empty((0, 2), np.int64)
@@ -201,9 +199,8 @@ def fcl_initialize(state: GenerationState, eta: float) -> None:
     ring = pairs[first[:m]]
     del pairs, keys, u, v, first  # the draws, before the rows are built
     signs = np.ones(m, np.int64)
-    if state.balance:  # STCL reads no sign of FCL's
-        rank = np.argsort(_words(state.signs, -(-m // BLOCK))[:m], kind="stable")
-        signs[rank[round(eta * m):]] = -1
+    rank = np.argsort(_words(state.signs, -(-m // BLOCK))[:m], kind="stable")
+    signs[rank[round(eta * m):]] = -1
     ids = state.ids
     eu = state.eu = list(map(ids.__getitem__, ring[:, 0].tolist()))
     ev = state.ev = list(map(ids.__getitem__, ring[:, 1].tolist()))
@@ -278,10 +275,8 @@ def generation_step(state: GenerationState) -> None:
                 state.park(v_j, False)
                 walk_failures += 1
             else:
-                sign = 1  # without balance the rounds draw no sign
-                if state.balance:
-                    balanced = next(coins) < state.beta
-                    sign = choose_wedge_sign(state, v_i, v_j, balanced, state.alpha)
+                balanced = next(coins) < state.beta
+                sign = choose_wedge_sign(state, v_i, v_j, balanced, state.alpha)
                 state.replace_oldest(v_i, v_j, sign)
                 state.steps_done += 1
                 return
@@ -296,9 +291,7 @@ def generation_step(state: GenerationState) -> None:
             state.park(v_i, i_queued)
             state.park(v_j, j_queued)
             continue
-        sign = 1
-        if state.balance:
-            sign = 1 if next(coins) < state.alpha else -1
+        sign = 1 if next(coins) < state.alpha else -1
         state.replace_oldest(v_i, v_j, sign)
         state.steps_done += 1
         return
@@ -336,7 +329,7 @@ def generate(g_input: SignedGraph, params: ModelParams, seed: int) -> SignedGrap
     (u, v) columns depend only on (input, params.rho, seed). The network is
     remembered on ``g_input`` for as long as the caller holds it.
     """
-    out = _generate(g_input, params, seed, balance=True)
+    out = _generate(g_input, params, seed)
     if g_input._generated is None:
         object.__setattr__(g_input, "_generated", weakref.WeakValueDictionary())
     g_input._generated[params.rho, str(seed)] = out
@@ -345,11 +338,13 @@ def generate(g_input: SignedGraph, params: ModelParams, seed: int) -> SignedGrap
 
 def _iid_generate(g_input: SignedGraph, params: ModelParams, seed: int) -> SignedGraph:
     """``generate``'s topology at (params.rho, seed) with every sign drawn
-    i.i.d. positive with probability params.alpha (see the module
-    docstring): the body of ``baseline.stcl_generate``."""
+    i.i.d. positive with probability params.alpha: the body of
+    ``baseline.stcl_generate``. The (u, v) columns are those of a held
+    network of ``generate``'s, or else of the same rounds run here, whose
+    own signs are discarded (see the module docstring)."""
     memo = g_input._generated
     held = memo.get((params.rho, str(seed))) if memo is not None else None
-    topology = held if held is not None else _generate(g_input, params, seed, balance=False)
+    topology = held if held is not None else _generate(g_input, params, seed)
     m = topology.m
     fcl = -(-m // BLOCK)  # the blocks FCL's sign ranking reads
     words = _words(random.Random(f"{seed}:signs"), 2 * fcl)[fcl * BLOCK:][:m]
@@ -365,15 +360,14 @@ def _iid_generate(g_input: SignedGraph, params: ModelParams, seed: int) -> Signe
     return out
 
 
-def _generate(
-    g_input: SignedGraph, params: ModelParams, seed: int, balance: bool
-) -> SignedGraph:
-    """The rounds of ``generate``, or with ``balance`` off of ``_iid_generate``."""
+def _generate(g_input: SignedGraph, params: ModelParams, seed: int) -> SignedGraph:
+    """FCL and the M rounds: the body of ``generate``, and of
+    ``_iid_generate`` when no network of ``generate``'s is held."""
     pi = build_sampling_vector(g_input)
     _require_room(g_input)
     state = GenerationState(
         n=g_input.n, pi=pi, target_m=g_input.m, rho=params.rho,
-        alpha=params.alpha, beta=params.beta, seed=seed, balance=balance,
+        alpha=params.alpha, beta=params.beta, seed=seed,
     )
     fcl_initialize(state, params.eta)
     return _run(state)

@@ -53,29 +53,10 @@ def ingest_ratings(rows: Iterable[RawRating]) -> SignedGraph:
     are relabeled densely in order of first appearance; the original ids are
     kept on the graph as ``labels``.
     """
-    totals: dict[tuple[int, int], float] = {}
-    index: dict[object, int] = {}
-    labels: list[object] = []
-
-    def vid(label: object) -> int:
-        if label not in index:
-            index[label] = len(labels)
-            labels.append(label)
-        return index[label]
-
-    for row in rows:
-        if row.weight == 0:
-            continue
-        u, v = vid(row.source), vid(row.target)
-        if u == v:
-            continue
-        pair = (u, v) if u < v else (v, u)
-        totals[pair] = totals.get(pair, 0.0) + row.weight
-
-    triples = [(u, v, 1 if w > 0 else -1) for (u, v), w in totals.items() if w != 0]
-    if not triples:
-        raise EmptyResultError("no signed edges left after aggregation")
-    return build_graph(triples, n=len(labels), labels=labels)
+    rated = [row for row in rows if row.weight != 0]
+    labels, ids = _dense_ids([x for row in rated for x in (row.source, row.target)])
+    weight = np.fromiter((row.weight for row in rated), np.float64, len(rated))
+    return _rating_graph(labels, ids, weight)
 
 
 def _data_lines(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
@@ -219,17 +200,23 @@ def _rated_ids(fh) -> Optional[tuple[list, np.ndarray, np.ndarray]]:
     if " ".join(distinct).replace(",", " ").split() != distinct:
         return None
     rated = weight != 0
-    tokens = pairs[rated].ravel().tolist()
-    labels = list(dict.fromkeys(tokens))  # in order of first appearance
+    return (*_dense_ids(pairs[rated].ravel().tolist()), weight[rated])
+
+
+def _dense_ids(tokens: list) -> tuple[list, np.ndarray]:
+    """The distinct labels of ``tokens``, a flat list of (source, target)
+    pairs, in order of first appearance, and the pairs as (k, 2) dense ids."""
+    labels = list(dict.fromkeys(tokens))
     ids = np.fromiter(map(dict(zip(labels, range(len(labels)))).__getitem__, tokens),
                       np.int64, len(tokens))
-    return labels, ids.reshape(-1, 2), weight[rated]
+    return labels, ids.reshape(-1, 2)
 
 
 def _rating_graph(labels: list, ids: np.ndarray, weight: np.ndarray) -> SignedGraph:
-    """``ingest_ratings`` over dense (source, target) ids and weights. It
-    runs after ``_rated_ids`` returns, so the parsed rows and their label
-    strings are freed before the aggregation's temporaries are made."""
+    """The aggregation of ``ingest_ratings`` over dense (source, target)
+    ids and nonzero weights, which both rating readers end in. The bulk
+    reader calls it after ``_rated_ids`` returns, so the parsed rows and
+    their label strings are freed before its temporaries are made."""
     n = len(labels)
     apart = ids[:, 0] != ids[:, 1]
     ids, weight = ids[apart], weight[apart]

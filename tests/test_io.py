@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 import warnings
@@ -81,6 +82,76 @@ def test_ingest_fuzz_never_violates_graph_invariants(rows):
         assert u < v
         assert s is Sign.POSITIVE or s is Sign.NEGATIVE
         assert u in rows[v] and v in rows[u]
+
+
+def ingest_ratings_oracle(rows):
+    """The per-row dict aggregation that ``ingest_ratings`` replaces, kept
+    as an oracle: labels numbered on first sight, each unordered pair's
+    weights summed in row order, pairs in order of first appearance."""
+    totals, index, labels = {}, {}, []
+
+    def vid(label):
+        if label not in index:
+            index[label] = len(labels)
+            labels.append(label)
+        return index[label]
+
+    for row in rows:
+        if row.weight == 0:
+            continue
+        u, v = vid(row.source), vid(row.target)
+        if u == v:
+            continue
+        pair = (u, v) if u < v else (v, u)
+        totals[pair] = totals.get(pair, 0.0) + row.weight
+    triples = [(u, v, 1 if w > 0 else -1) for (u, v), w in totals.items() if w != 0]
+    if not triples:
+        raise EmptyResultError("no signed edges left after aggregation")
+    return build_graph(triples, n=len(labels), labels=labels)
+
+
+# Labels that are not strings, some equal across types (1, 1.0, True), and
+# NaNs: one shared object, and fresh ones that equal nothing, not even
+# each other.
+RATING_LABELS = st.one_of(
+    st.sampled_from(["a", "b", "c", 1, 1.0, True, 2, -1, None, ("a", 1), b"a", math.nan]),
+    st.builds(float, st.just("nan")),
+)
+RATING_WEIGHTS = st.one_of(
+    st.sampled_from([0, 0.0, -0.0, 1, -1, 3, 0.5, -2.5, math.nan, math.inf, -math.inf]),
+    st.floats(),
+)
+
+
+@st.composite
+def rating_rows(draw):
+    """Rows over a small pool of labels, so that pairs, self-ratings and
+    both directions of a pair recur; some rows are rated back with the
+    negated weight, so that the pair sums to 0."""
+    rows = draw(st.lists(st.tuples(RATING_LABELS, RATING_LABELS, RATING_WEIGHTS),
+                         max_size=40))
+    if rows:
+        rows += [(v, u, -w) for u, v, w in draw(st.lists(st.sampled_from(rows), max_size=8))]
+    return [RawRating(*row) for row in draw(st.permutations(rows))]
+
+
+def ingested(ingest, rows):
+    """``outcome`` of ``ingest`` over ``rows``, with the label types."""
+    got = outcome(ingest, rows)
+    return got, [type(x) for x in got[-1]] if isinstance(got[-1], tuple) else None
+
+
+@given(rating_rows())
+@example([RawRating("a", "b", 0), RawRating("b", "a", 0.0), RawRating("a", "c", -0.0)])
+@example([RawRating("a", "a", 5), RawRating("b", "b", -1), RawRating("a", "b", 2)])
+@example([RawRating("a", "b", 2.5), RawRating("b", "a", -2.5), RawRating("c", "a", 1)])
+@example([RawRating("a", "b", math.nan), RawRating("b", "c", math.inf),
+          RawRating("c", "a", -math.inf), RawRating("a", "c", math.inf)])
+@example([RawRating(1, True, 1), RawRating(1.0, 2, -1), RawRating(None, (1,), 0.1)])
+@example([RawRating(0.1, 0.2, 0.1), RawRating(0.2, 0.1, 0.2), RawRating(0.1, 0.2, -0.3)])
+@settings(max_examples=300, deadline=None)
+def test_ingest_ratings_equals_the_dict_aggregation(rows):
+    assert ingested(ingest_ratings, rows) == ingested(ingest_ratings_oracle, rows)
 
 
 def test_canonical_round_trip(tmp_path):
