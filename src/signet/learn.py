@@ -27,7 +27,7 @@ from .estimators import (
     delta_triangle_fast,
 )
 from .graph import SignedGraph
-from .metrics import TriangleList, stats_report, take_triangles
+from .metrics import TriangleEdges, TriangleList, stats_report, take_triangles
 from .metrics import triangle_census  # noqa: F401  (bench/tracer.py wraps it here)
 
 log = logging.getLogger(__name__)
@@ -113,59 +113,76 @@ def em_edge_responsibility(
     return w / (w + r)
 
 
-def _wedge_terms(g: SignedGraph, tri: TriangleList) -> np.ndarray:
-    """Sorted ``slot * M + key`` composites, one per wedge-likelihood term
-    of ``g``'s triangle listing ``tri``.
+def _wedge_terms(g: SignedGraph, tri: TriangleList | TriangleEdges) -> tuple[np.ndarray, int]:
+    """Sorted ``(2e + o) << s | key`` composites, one per wedge-likelihood
+    term of ``g``'s triangle listing ``tri``, read from its edge indices
+    alone, and their shift s = max(1, (M - 1).bit_length()).
 
     Slot 2e + o is edge e conditioned on its smaller (o = 0) or larger
     (o = 1) endpoint v_i. A triangle (i, j, k) gives slot (i -> j) the term
     1/(d_i d_k), keyed by the index of edge (i, k): k's place in i's row.
+    Since key < 2^s, the composites sort as ``slot * M + key`` would; the
+    largest, (2M - 1) << s, fits int64 while M <= 2^31. v_i is the end that
+    edges e and key share, so o = 1 iff v[e] is an end of edge key.
     """
-    m = g.m
-    t = len(tri.x)
+    u, v = g.u, g.v
+    s = max(1, (g.m - 1).bit_length())
+    t = len(tri.xa)
+    # o of x -> a, x -> b and a -> b, found before the terms are allocated
+    # so that their transients do not add to the terms' peak: x > a iff
+    # v[xa] is an end of xb, x > b iff v[xb] is an end of xa, and a > b iff
+    # v[ab] (a or b) is an end of xa.
+    bits = []
+    for e, other in ((tri.xa, tri.xb), (tri.xb, tri.xa), (tri.ab, tri.xa)):
+        top = v[e]
+        bits.append((top == u[other]) | (top == v[other]))
+        del top
     terms = np.empty(6 * t, dtype=np.int64)
-    # (edge i-j, v_i, v_j, edge i-k) for the six orientations of each triangle.
-    for part, (e, i, j, key) in enumerate([
-        (tri.xa, tri.x, tri.a, tri.xb),
-        (tri.xa, tri.a, tri.x, tri.ab),
-        (tri.xb, tri.x, tri.b, tri.xa),
-        (tri.xb, tri.b, tri.x, tri.ab),
-        (tri.ab, tri.a, tri.b, tri.xa),
-        (tri.ab, tri.b, tri.a, tri.xb),
+    # (edge i-j, edge i-k, o) for the six orientations of each triangle,
+    # two per edge: i -> j, then j -> i, whose o is the first's flipped.
+    for part, (e, key, o) in enumerate([
+        (tri.xa, tri.xb, bits[0]), (tri.xa, tri.ab, bits[0]),  # x -> a, a -> x
+        (tri.xb, tri.xa, bits[1]), (tri.xb, tri.ab, bits[1]),  # x -> b, b -> x
+        (tri.ab, tri.xa, bits[2]), (tri.ab, tri.xb, bits[2]),  # a -> b, b -> a
     ]):
-        out = terms[part * t:(part + 1) * t]  # (2e + (i > j)) M + key, in place
+        if part % 2:
+            np.logical_not(o, out=o)
+        out = terms[part * t:(part + 1) * t]  # (2e + o) << s | key, in place
         np.multiply(e, 2, out=out, dtype=np.int64)
-        out += i > j
-        out *= m
-        out += key
+        out += o
+        out <<= s
+        out |= key
     terms.sort()
-    return terms
+    return terms, s
 
 
-def wedge_likelihoods(g: SignedGraph, tri: TriangleList) -> np.ndarray:
+def wedge_likelihoods(g: SignedGraph, tri: TriangleList | TriangleEdges) -> np.ndarray:
     """Wedge likelihood of every edge orientation, indexed by slot 2e + o,
-    from ``g``'s triangle listing ``tri``.
+    from ``g``'s triangle listing ``tri`` or its edge-index columns.
 
     Equal bit for bit to the ``wedge`` sum of ``em_edge_responsibility``:
     each slot's terms are summed by ``np.bincount`` in key order, which is
     the order of the scalar walk over v_i's row, and a block never splits a
-    slot.
+    slot. d_i is read per slot and d_k as edge (i, k)'s degree sum less d_i.
     """
-    m = g.m
     deg = g.degrees()
-    terms = _wedge_terms(g, tri)
-    wedge = np.zeros(2 * m)
+    slot_deg = deg[np.stack((g.u, g.v), axis=1).ravel()]  # d_i of slot 2e + o
+    edge_deg = deg[g.u] + deg[g.v]
+    del deg  # per vertex: not needed alongside the terms
+    terms, s = _wedge_terms(g, tri)
+    mask = (1 << s) - 1
+    wedge = np.zeros(2 * g.m)
     start = 0
     while start < len(terms):
         stop = min(start + TERM_BLOCK, len(terms))
         if stop < len(terms):
-            stop = int(np.searchsorted(terms, (terms[stop - 1] // m + 1) * m))
-        slot, key = np.divmod(terms[start:stop], m)
-        e = slot >> 1
-        i = np.where(slot & 1, g.v[e], g.u[e])
-        k = g.u[key] + g.v[key] - i
+            stop = int(np.searchsorted(terms, ((terms[stop - 1] >> s) + 1) << s))
+        block = terms[start:stop]
+        slot = block >> s
+        d_i = slot_deg[slot]
+        d_k = edge_deg[block & mask] - d_i
         wedge[slot[0]:slot[-1] + 1] = np.bincount(
-            slot - slot[0], weights=1.0 / (deg[i] * deg[k])
+            slot - slot[0], weights=1.0 / (d_i * d_k)
         )
         start = stop
     return wedge

@@ -12,8 +12,9 @@ measurement of the input. The measurement keeps its listing as each
 triangle's three edge indices (``TriangleEdges``, int32 while M < 2^31) in
 the graph's ``_triangles`` slot, so the input's triangles are listed once
 across analyze and learn: ``take_triangles`` hands them to learn, which
-recovers each triangle's vertices and leaves the graph without a listing,
-and ``evaluate`` drops a generated network's as soon as it has measured it.
+reads its wedge likelihoods from those three columns alone and leaves the
+graph without a listing, and ``evaluate`` drops a generated network's as
+soon as it has measured it.
 A network and its STCL twin (same (u, v) columns, other signs) share one
 measurement instead: the first of them measured keeps its result and its
 edge indices in the pair's ``_shared`` dict, and the other reuses the
@@ -108,22 +109,11 @@ class TriangleList:
 
 
 class TriangleEdges(NamedTuple):
-    """A listing's edge-index columns, all that a census reads."""
+    """A listing's edge-index columns, all that a census or learn reads."""
 
     xa: np.ndarray
     xb: np.ndarray
     ab: np.ndarray
-
-    def listing(self, g: SignedGraph) -> TriangleList:
-        """The listing of ``g`` these columns came from, its vertices
-        recovered: x is the endpoint that edges xa and xb share, a and b
-        the other ends of xa and xb."""
-        ua, a = g.u[self.xa], g.v[self.xa]
-        ub, b = g.u[self.xb], g.v[self.xb]
-        x = np.where((ua == ub) | (ua == b), ua, a)
-        a += ua - x  # the end of xa that is not x, in place
-        b += ub - x
-        return TriangleList(x=x, a=a, b=b, xa=self.xa, xb=self.xb, ab=self.ab)
 
 
 def list_triangles(g: SignedGraph) -> TriangleList:
@@ -206,15 +196,15 @@ def stats_report(g: SignedGraph) -> GraphStats:
     return g._stats
 
 
-def take_triangles(g: SignedGraph) -> TriangleList:
-    """The triangle listing of ``g``'s measurement (``stats_report``),
+def take_triangles(g: SignedGraph) -> TriangleList | TriangleEdges:
+    """The edge indices of ``g``'s measurement's listing (``stats_report``),
     after which ``g`` holds none of its own; a listing that ``g`` shares
     with its STCL twin stays with the pair. If an earlier call took it,
     ``g`` is listed again."""
     stats_report(g)
     edges = g._triangles if g._shared is None else g._shared["edges"]
     drop_triangles(g)
-    return list_triangles(g) if edges is None else edges.listing(g)
+    return list_triangles(g) if edges is None else edges
 
 
 def drop_triangles(g: SignedGraph) -> None:

@@ -7,6 +7,7 @@ import pytest
 
 from signet import metrics
 from signet.graph import Sign, SignedGraph, build_graph
+from signet.metrics import TriangleEdges, TriangleList
 
 
 def sign_lookup(g: SignedGraph) -> dict[tuple[int, int], Sign]:
@@ -101,6 +102,18 @@ def random_signed_graph(n: int, p: float, seed: int, eta: float = 0.5) -> Signed
                 s = Sign.POSITIVE if rng.random() < eta else Sign.NEGATIVE
                 triples.append((u, v, s))
     return build_graph(triples, n=n)
+
+
+def listing_of(g: SignedGraph, edges: TriangleEdges) -> TriangleList:
+    """The listing of ``g`` that the edge-index columns ``edges`` came from,
+    its vertices recovered: x is the endpoint that edges xa and xb share,
+    a and b the other ends of xa and xb."""
+    ua, a = g.u[edges.xa], g.v[edges.xa]
+    ub, b = g.u[edges.xb], g.v[edges.xb]
+    x = np.where((ua == ub) | (ua == b), ua, a)
+    a += ua - x  # the end of xa that is not x, in place
+    b += ub - x
+    return TriangleList(x=x, a=a, b=b, xa=edges.xa, xb=edges.xb, ab=edges.ab)
 
 
 def power_law_signed_graph(

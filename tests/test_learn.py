@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signet import learn, metrics
-from signet.errors import EmptyGraphError, RhoAtOneError
+from signet.baseline import stcl_generate
+from signet.errors import EmptyGraphError, RhoAtOneError, SignetError
+from signet.generate import generate
 from signet.graph import Sign, build_graph
-from signet.metrics import list_triangles, stats_report
+from signet.metrics import TriangleList, list_triangles, stats_report, take_triangles
 from signet.learn import (
     AB_MAX_ITERS,
     AB_TOL,
@@ -28,7 +30,12 @@ from signet.learn import (
     update_alpha,
     update_beta,
 )
-from tests.conftest import neighbor_rows, power_law_signed_graph, random_signed_graph
+from tests.conftest import (
+    listing_of,
+    neighbor_rows,
+    power_law_signed_graph,
+    random_signed_graph,
+)
 
 
 def em(g, cfg):
@@ -342,8 +349,10 @@ def test_learn_leaves_the_input_without_a_listing():
 def test_learn_transient_memory_per_triangle(monkeypatch):
     # The tracemalloc peak of learn after the input was measured, per
     # triangle, with blocks small enough that the whole-listing arrays
-    # dominate. Reading the kept edge indices, learn peaks at 86 B per
-    # triangle on this input; listing the triangles again would peak at 148.
+    # dominate. Reading only the kept edge indices, learn peaks at 74 B per
+    # triangle on this input, 48 B of it the sorted wedge terms. Recovering
+    # each triangle's vertices from them would peak at 86, which the bound
+    # fails, and listing the triangles again at 148.
     monkeypatch.setattr(metrics, "WEDGE_BLOCK", 1024)
     monkeypatch.setattr(learn, "TERM_BLOCK", 1024)
     g = power_law_signed_graph(6000, 20000, seed=21, gamma=2.1)
@@ -354,7 +363,7 @@ def test_learn_transient_memory_per_triangle(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / total <= 100
+    assert peak / total <= 84
 
 
 def test_learned_parameters_do_not_depend_on_the_seed():
@@ -450,3 +459,91 @@ def test_learned_parameters_do_not_depend_on_when_the_input_is_measured(g, iters
     assert learned(after, cfg) == alone  # its listing was taken: listed again
     rho, _ = em_learn_rho(g, cfg, learn.wedge_likelihoods(g, list_triangles(g)))
     assert alone[0][0] == float.hex(rho)
+
+
+def wedge_likelihoods_oracle(g, tri):
+    """``learn.wedge_likelihoods`` as it read a listing's vertices: each
+    term is the composite ``slot * M + key``, its orientation bit compares
+    the listing's x, a and b, and d_i and d_k are read per vertex."""
+    if not isinstance(tri, TriangleList):
+        tri = listing_of(g, tri)
+    m = g.m
+    deg = g.degrees()
+    t = len(tri.x)
+    terms = np.empty(6 * t, dtype=np.int64)
+    for part, (e, i, j, key) in enumerate([
+        (tri.xa, tri.x, tri.a, tri.xb),
+        (tri.xa, tri.a, tri.x, tri.ab),
+        (tri.xb, tri.x, tri.b, tri.xa),
+        (tri.xb, tri.b, tri.x, tri.ab),
+        (tri.ab, tri.a, tri.b, tri.xa),
+        (tri.ab, tri.b, tri.a, tri.xb),
+    ]):
+        out = terms[part * t:(part + 1) * t]
+        np.multiply(e, 2, out=out, dtype=np.int64)
+        out += i > j
+        out *= m
+        out += key
+    terms.sort()
+    wedge = np.zeros(2 * m)
+    start = 0
+    while start < len(terms):
+        stop = min(start + learn.TERM_BLOCK, len(terms))
+        if stop < len(terms):
+            stop = int(np.searchsorted(terms, (terms[stop - 1] // m + 1) * m))
+        slot, key = np.divmod(terms[start:stop], m)
+        e = slot >> 1
+        i = np.where(slot & 1, g.v[e], g.u[e])
+        k = g.u[key] + g.v[key] - i
+        wedge[slot[0]:slot[-1] + 1] = np.bincount(
+            slot - slot[0], weights=1.0 / (deg[i] * deg[k])
+        )
+        start = stop
+    return wedge
+
+
+@st.composite
+def graphs_of_size(draw):
+    """A signed graph with m in {1, 2, 2^k, 2^k + 1}, the shift's edge cases,
+    on as few vertices as hold m edges, or up to three more."""
+    m = draw(st.sampled_from([1, 2, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65]))
+    least = next(n for n in itertools.count(2) if n * (n - 1) // 2 >= m)
+    n = draw(st.integers(least, least + 3))
+    every = list(itertools.combinations(range(n), 2))
+    pairs = draw(st.lists(st.sampled_from(every), min_size=m, max_size=m, unique=True))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=m, max_size=m))
+    return build_graph([(u, v, s) for (u, v), s in zip(pairs, signs)], n=n)
+
+
+@given(
+    small_signed_graphs() | triangle_free_graphs() | graphs_of_size(),
+    st.sampled_from(["kept", "fresh", "twin"]),
+    st.sampled_from([1, 3, None]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_wedge_likelihoods_equal_the_listing_oracle(g, columns, block, seed):
+    # The kept columns are stats_report's read-only int32 memory maps, the
+    # fresh ones list_triangles' int64 listing, and a twin pair's those of
+    # the pair's shared measurement; block None keeps TERM_BLOCK's default.
+    if columns == "kept":
+        stats_report(g)
+        tri = take_triangles(g)
+        assert tri.xa.dtype == np.int32
+        assert len(tri.xa) == 0 or not tri.xa.flags.writeable
+    elif columns == "fresh":
+        tri = list_triangles(g)
+    else:
+        try:
+            net = generate(g, ModelParams(0.5, 0.8, 0.9, 0.7, 0.8), seed)
+        except SignetError:
+            return
+        stats_report(stcl_generate(g, 0.5, seed))  # net is held: its twin
+        g, tri = net, take_triangles(net)
+        assert tri is net._shared["edges"]
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(learn, "TERM_BLOCK", block)
+        got = learn.wedge_likelihoods(g, tri)
+        expected = wedge_likelihoods_oracle(g, tri)
+    assert got.tobytes() == expected.tobytes()

@@ -20,6 +20,7 @@ from signet.metrics import (
 )
 from tests.conftest import (
     brute_force_census,
+    listing_of,
     neighbor_rows,
     power_law_signed_graph,
     random_signed_graph,
@@ -254,7 +255,7 @@ def test_edge_indices_recover_the_listing(g, block):
         mp.setattr(metrics, "WEDGE_BLOCK", block)
         tri = list_triangles(g)
         edges = TriangleEdges(*(c.astype(np.int32) for c in (tri.xa, tri.xb, tri.ab)))
-        got = edges.listing(g)
+        got = listing_of(g, edges)
         for name in ("x", "a", "b", "xa", "xb", "ab"):
             assert getattr(got, name).tolist() == getattr(tri, name).tolist()
         if g.m == 0:
