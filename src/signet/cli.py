@@ -157,6 +157,10 @@ def _generate_runs(g, params, runs, seed, out_dir, policy):
     else:
         make = partial(run_generate, g, params)
     os.makedirs(out_dir, exist_ok=True)
+    for name in os.listdir(out_dir):  # an earlier call's runs: evaluate reads them all
+        if (name.startswith("generated_") and name.endswith(".tsv")
+                or name.startswith("manifest_") and name.endswith(".json")):
+            os.remove(os.path.join(out_dir, name))
     for r in range(runs):
         run_seed = seed + r
         g_out = make(run_seed)
@@ -242,12 +246,16 @@ def _read_generated(path, n):
 
 
 def _parse_grid(text):
+    """The comma-separated values of a parameter grid, each in [0, 1]."""
     try:
         values = [float(x) for x in text.split(",") if x.strip() != ""]
     except ValueError as exc:
         raise click.ClickException(f"bad grid {text!r}: {exc}") from exc
     if not values:
         raise click.ClickException("empty grid")
+    for value in values:
+        if not 0.0 <= value <= 1.0:  # also false for NaN
+            raise click.ClickException(f"bad grid {text!r}: {value} is not in [0, 1]")
     return values
 
 
@@ -261,10 +269,10 @@ def _parse_grid(text):
 @_em_iters
 def sweep(input_path, alpha_grid, beta_grid, runs, seed, out_path, em_iters):
     """Grid search over (alpha, beta); emits surface data for each point."""
-    g = read_graph(input_path)
-    learned = learn_parameters(g, _learn_config(em_iters))
     alphas = _parse_grid(alpha_grid)
     betas = _parse_grid(beta_grid)
+    g = read_graph(input_path)
+    learned = learn_parameters(g, _learn_config(em_iters))
     rows = []
     for a in alphas:
         for b in betas:

@@ -57,10 +57,10 @@ class SignedGraph:
     labels: Optional[tuple] = None
     # The graph's measured properties, set once by ``metrics.stats_report``.
     _stats: Optional[GraphStats] = field(default=None, init=False, repr=False)
-    # The triangle listing of that measurement, as edge indices, until
-    # ``learn`` takes it (``metrics.take_triangles``) and reads its wedge
-    # likelihoods from them, or ``evaluate`` drops it; a graph that shares
-    # one with its twin keeps it in ``_shared``.
+    # The triangle listing of that measurement (its three edge-index
+    # columns) until ``learn`` takes it (``metrics.take_triangles``) and
+    # reads its wedge likelihoods from them, or ``evaluate`` drops it; a
+    # graph that shares one with its twin keeps it in ``_shared``.
     _triangles: Optional[TriangleEdges] = field(default=None, init=False, repr=False)
     # The networks ``generate`` made from this graph and the caller still
     # holds, keyed by (rho, str(seed)); set on its first call.

@@ -8,8 +8,9 @@ edge orientation with array expressions, each responsibility equal bit for
 bit to the scalar definition's.
 ``learn_parameters`` reads eta and the census from the input's measurement
 (``metrics.stats_report``) and the wedge likelihoods from that
-measurement's triangle listing, kept as edge indices until learn takes it:
-the input's triangles are listed once across analyze and learn.
+measurement's triangle listing, each triangle's three edge indices, kept
+on the input until learn takes it: the input's triangles are listed once
+across analyze and learn.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .estimators import (
     delta_triangle_fast,
 )
 from .graph import SignedGraph
-from .metrics import TriangleEdges, TriangleList, stats_report, take_triangles
+from .metrics import TriangleEdges, stats_report, take_triangles
 from .metrics import triangle_census  # noqa: F401  (bench/tracer.py wraps it here)
 
 log = logging.getLogger(__name__)
@@ -113,10 +114,10 @@ def em_edge_responsibility(
     return w / (w + r)
 
 
-def _wedge_terms(g: SignedGraph, tri: TriangleList | TriangleEdges) -> tuple[np.ndarray, int]:
+def _wedge_terms(g: SignedGraph, tri: TriangleEdges) -> tuple[np.ndarray, int]:
     """Sorted ``(2e + o) << s | key`` composites, one per wedge-likelihood
-    term of ``g``'s triangle listing ``tri``, read from its edge indices
-    alone, and their shift s = max(1, (M - 1).bit_length()).
+    term of ``g``'s triangle listing ``tri``, and their shift
+    s = max(1, (M - 1).bit_length()).
 
     Slot 2e + o is edge e conditioned on its smaller (o = 0) or larger
     (o = 1) endpoint v_i. A triangle (i, j, k) gives slot (i -> j) the term
@@ -156,9 +157,9 @@ def _wedge_terms(g: SignedGraph, tri: TriangleList | TriangleEdges) -> tuple[np.
     return terms, s
 
 
-def wedge_likelihoods(g: SignedGraph, tri: TriangleList | TriangleEdges) -> np.ndarray:
+def wedge_likelihoods(g: SignedGraph, tri: TriangleEdges) -> np.ndarray:
     """Wedge likelihood of every edge orientation, indexed by slot 2e + o,
-    from ``g``'s triangle listing ``tri`` or its edge-index columns.
+    from ``g``'s triangle listing ``tri``.
 
     Equal bit for bit to the ``wedge`` sum of ``em_edge_responsibility``:
     each slot's terms are summed by ``np.bincount`` in key order, which is
@@ -257,7 +258,9 @@ def learn_parameters(g: SignedGraph, cfg: Optional[LearnConfig] = None) -> Model
     """Full learning pass: measure the input, EM for rho, then alternate
     the beta and alpha closed-form updates, each clamped to [0, 1], until
     they stop moving. A final value that left [-CLAMP_EPS, 1 + CLAMP_EPS]
-    before its clamp is warned about once.
+    before its clamp is warned about once, except alpha when rho ends at
+    its cap 1 - RHO_EPS: the cap is warned about instead, without alpha's
+    raw value, whose size RHO_EPS then sets rather than the data.
 
     eta and the census come from ``stats_report(g)``, which measures ``g``
     unless that was done before, and the wedge likelihoods from the
@@ -295,10 +298,16 @@ def learn_parameters(g: SignedGraph, cfg: Optional[LearnConfig] = None) -> Model
         if move < AB_TOL:
             break
     for name, raw in (("beta", raw_beta), ("alpha", raw_alpha)):
-        if not -CLAMP_EPS <= raw <= 1.0 + CLAMP_EPS:
+        if name == "alpha" and rho == 1.0 - RHO_EPS:
+            # Raw alpha divides by 1 - rho, so RHO_EPS sets its size here.
+            msg = (f"rho clamped to its cap 1 - {RHO_EPS:g}, so alpha is not "
+                   f"identified (set to {alpha:g})")
+        elif not -CLAMP_EPS <= raw <= 1.0 + CLAMP_EPS:
             msg = f"{name}={raw:.4f} clamped to [0, 1]"
-            log.warning(msg)
-            warnings.append(msg)
+        else:
+            continue
+        log.warning(msg)
+        warnings.append(msg)
 
     return ModelParams(
         rho=rho,

@@ -5,16 +5,16 @@ triangle counts feeding local clustering), the balanced-triangle fraction
 Δ_B and the degree histogram.
 
 Triangles come from one vectorised listing (``list_triangles``) over the
-graph's edge columns; the census here and the EM wedge likelihoods in
-``learn`` both read it. ``stats_report`` measures a graph once: its result
-is kept on the graph, so analyze, learn, evaluate and sweep share one
-measurement of the input. The measurement keeps its listing as each
-triangle's three edge indices (``TriangleEdges``, int32 while M < 2^31) in
-the graph's ``_triangles`` slot, so the input's triangles are listed once
+graph's edge columns. A listing is its three edge-index columns
+(``TriangleEdges``, int32 while M < 2^31): the census, the per-vertex
+triangle counts behind clustering and the EM wedge likelihoods in ``learn``
+all read those columns alone. ``stats_report`` measures a graph once: its
+result is kept on the graph, so analyze, learn, evaluate and sweep share
+one measurement of the input. The measurement keeps its listing in the
+graph's ``_triangles`` slot, so the input's triangles are listed once
 across analyze and learn: ``take_triangles`` hands them to learn, which
-reads its wedge likelihoods from those three columns alone and leaves the
-graph without a listing, and ``evaluate`` drops a generated network's as
-soon as it has measured it.
+leaves the graph without a listing, and ``evaluate`` drops a generated
+network's as soon as it has measured it.
 A network and its STCL twin (same (u, v) columns, other signs) share one
 measurement instead: the first of them measured keeps its result and its
 edge indices in the pair's ``_shared`` dict, and the other reuses the
@@ -93,31 +93,21 @@ def compute_eta(g: SignedGraph) -> float:
     return g.m_positive / g.m
 
 
-@dataclass(frozen=True)
-class TriangleList:
-    """Every triangle once, as found at its lowest-ranked vertex ``x`` with
-    forward neighbours ``a`` and ``b``; ``xa``, ``xb`` and ``ab`` are the
-    indices of its edges in ``g``'s columns.
+class TriangleEdges(NamedTuple):
+    """A triangle listing: the indices of each triangle's three edges in
+    the graph's columns. Edges xa and xb meet at the triangle's
+    lowest-ranked vertex x and ab closes their wedge; every reader
+    (census, clustering, learn) reads these columns alone.
     """
 
-    x: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
     xa: np.ndarray
     xb: np.ndarray
     ab: np.ndarray
 
 
-class TriangleEdges(NamedTuple):
-    """A listing's edge-index columns, all that a census or learn reads."""
-
-    xa: np.ndarray
-    xb: np.ndarray
-    ab: np.ndarray
-
-
-def list_triangles(g: SignedGraph) -> TriangleList:
-    """Degree-ordered forward triangle listing over ``g``'s edge columns.
+def list_triangles(g: SignedGraph) -> TriangleEdges:
+    """Degree-ordered forward triangle listing over ``g``'s edge columns,
+    as int32 edge indices while M < 2^31.
 
     Vertices are ranked by (degree, id) and each edge points from its
     lower-ranked to its higher-ranked endpoint, so every triangle has one
@@ -127,32 +117,30 @@ def list_triangles(g: SignedGraph) -> TriangleList:
     sorted forward edge keys, keeping memory bounded by the block size plus
     the triangles found.
     """
-    by_rank, fwd, flo, fhi = _forward_edges(g)
-    p, q, pos = _closed_wedges(g.n, flo, fhi)
-    return TriangleList(
-        x=by_rank[flo[p]], a=by_rank[fhi[p]], b=by_rank[fhi[q]],
-        xa=fwd[p], xb=fwd[q], ab=fwd[pos],
-    )
+    return _closed_wedges(g.n, *_forward_edges(g))
 
 
 def _forward_edges(g: SignedGraph) -> tuple[np.ndarray, ...]:
-    """The vertices in (degree, id) rank order, and the forward edges sorted
-    by their endpoints' ranks (lo, hi): each edge's index in ``g``, its lo
-    and its hi. Each lo's row lists its forward neighbours in rank order.
+    """The forward edges sorted by their endpoints' (degree, id) ranks
+    (lo, hi): each edge's index in ``g`` (int32 while M < 2^31), its lo and
+    its hi. Each lo's row lists its forward neighbours in rank order.
     """
     n = g.n
-    by_rank = np.argsort(g.degrees(), kind="stable")
     rank = np.empty(n, dtype=np.int64)
-    rank[by_rank] = np.arange(n)
+    rank[np.argsort(g.degrees(), kind="stable")] = np.arange(n)
     ru, rv = rank[g.u], rank[g.v]
     lo, hi = np.minimum(ru, rv), np.maximum(ru, rv)
     fwd = np.argsort(lo * n + hi)
-    return by_rank, fwd, lo[fwd], hi[fwd]
+    index = np.int32 if g.m <= np.iinfo(np.int32).max else np.int64
+    return fwd.astype(index), lo[fwd], hi[fwd]
 
 
-def _closed_wedges(n: int, flo: np.ndarray, fhi: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Positions (p, q, pos) in the sorted forward edges of every forward
-    wedge p, q (p < q in one row) that forward edge pos closes."""
+def _closed_wedges(
+    n: int, fwd: np.ndarray, flo: np.ndarray, fhi: np.ndarray
+) -> TriangleEdges:
+    """The edge indices ``fwd`` of every forward wedge p, q (p < q in one
+    row) and of the forward edge pos that closes it, for positions p, q and
+    pos in the sorted forward edges."""
     m = len(flo)
     fkey = flo * n + fhi
     row_end = np.cumsum(np.bincount(flo, minlength=n))
@@ -160,7 +148,7 @@ def _closed_wedges(n: int, flo: np.ndarray, fhi: np.ndarray) -> tuple[np.ndarray
     row_len = row_end[flo] - 1 - np.arange(m)
     wedge_end = np.cumsum(row_len)
     n_wedges = int(wedge_end[-1]) if m else 0
-    found: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    found = ([fwd[:0]], [fwd[:0]], [fwd[:0]])  # xa, xb and ab, in blocks
     for w0 in range(0, n_wedges, WEDGE_BLOCK):
         w = np.arange(w0, min(w0 + WEDGE_BLOCK, n_wedges))
         p = np.searchsorted(wedge_end, w, side="right")
@@ -168,16 +156,14 @@ def _closed_wedges(n: int, flo: np.ndarray, fhi: np.ndarray) -> tuple[np.ndarray
         key = fhi[p] * n + fhi[q]
         pos = np.minimum(np.searchsorted(fkey, key), m - 1)
         hit = fkey[pos] == key
-        found.append((p[hit], q[hit], pos[hit]))
-    if not found:
-        return (np.empty(0, dtype=np.int64),) * 3
-    return tuple(np.concatenate(parts) for parts in zip(*found))
+        for parts, at in zip(found, (p, q, pos)):
+            parts.append(fwd[at[hit]])
+    return TriangleEdges(*map(np.concatenate, found))
 
 
-def triangle_census(g: SignedGraph, tri: TriangleList | TriangleEdges) -> TriangleCensus:
-    """Count each triangle of ``g``'s listing ``tri``, or of its edge-index
-    columns, once, classified by its three edge signs: a bincount of each
-    triangle's negative-edge count.
+def triangle_census(g: SignedGraph, tri: TriangleEdges) -> TriangleCensus:
+    """Count each triangle of ``g``'s listing ``tri`` once, classified by
+    its three edge signs: a bincount of each triangle's negative-edge count.
     """
     neg = g.sign < 0
     counts = np.bincount(
@@ -196,11 +182,10 @@ def stats_report(g: SignedGraph) -> GraphStats:
     return g._stats
 
 
-def take_triangles(g: SignedGraph) -> TriangleList | TriangleEdges:
-    """The edge indices of ``g``'s measurement's listing (``stats_report``),
-    after which ``g`` holds none of its own; a listing that ``g`` shares
-    with its STCL twin stays with the pair. If an earlier call took it,
-    ``g`` is listed again."""
+def take_triangles(g: SignedGraph) -> TriangleEdges:
+    """``g``'s measurement's listing (``stats_report``), after which ``g``
+    holds none of its own; a listing that ``g`` shares with its STCL twin
+    stays with the pair. If an earlier call took it, ``g`` is listed again."""
     stats_report(g)
     edges = g._triangles if g._shared is None else g._shared["edges"]
     drop_triangles(g)
@@ -212,12 +197,12 @@ def drop_triangles(g: SignedGraph) -> None:
     object.__setattr__(g, "_triangles", None)
 
 
-def _kept(columns: list[np.ndarray], dtype) -> np.ndarray:
-    """The equal-length ``columns`` as the rows of one ``dtype`` array in
+def _kept(columns: list[np.ndarray]) -> np.ndarray:
+    """The equal-length, equal-dtype ``columns`` as the rows of one array in
     its own anonymous memory map, each source column freed once copied.
     Allocated from the heap, after the transient arrays of a listing, a
     long-lived array would keep the heap from shrinking below it."""
-    size = len(columns) * len(columns[0]) * np.dtype(dtype).itemsize
+    dtype, size = columns[0].dtype, len(columns) * columns[0].nbytes
     if size == 0:
         return np.empty((len(columns), 0), dtype=dtype)
     out = np.frombuffer(mmap.mmap(-1, size), dtype=dtype).reshape(len(columns), -1)
@@ -236,18 +221,15 @@ def _measure(g: SignedGraph) -> GraphStats:
             shared["stats"], eta=compute_eta(g), delta_b=census.delta_b,
             census=census, m_positive=g.m_positive,
         )
-    tri = list_triangles(g)
-    census = triangle_census(g, tri)
-    through = np.bincount(np.concatenate([tri.x, tri.a, tri.b]), minlength=g.n)
-    # Keep the edge indices alone, narrowed one column at a time once x, a
-    # and b are gone, so that keeping them does not raise the peak.
-    columns = [tri.xa, tri.xb, tri.ab]
-    del tri
-    dtype = np.int32 if g.m <= np.iinfo(np.int32).max else np.int64
-    edges = TriangleEdges(*_kept(columns, dtype))
+    columns = list(list_triangles(g))
+    census = triangle_census(g, TriangleEdges(*columns))
+    # 2 T_v is the sum, over v's edges e, of the triangles through e.
+    through_edge = sum(np.bincount(c, minlength=g.m) for c in columns)
+    twice = np.bincount(g.u, through_edge, g.n) + np.bincount(g.v, through_edge, g.n)
+    edges = TriangleEdges(*_kept(columns))
     d = g.degrees()
     clustering = np.zeros(g.n)
-    np.divide(2.0 * through, d * (d - 1), out=clustering, where=d >= 2)
+    np.divide(twice, d * (d - 1), out=clustering, where=d >= 2)
     degrees = d.tolist()
     stats = GraphStats(
         eta=compute_eta(g),

@@ -1,13 +1,13 @@
 import itertools
 import random
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import pytest
 
 from signet import metrics
 from signet.graph import Sign, SignedGraph, build_graph
-from signet.metrics import TriangleEdges, TriangleList
+from signet.metrics import TriangleEdges
 
 
 def sign_lookup(g: SignedGraph) -> dict[tuple[int, int], Sign]:
@@ -104,16 +104,28 @@ def random_signed_graph(n: int, p: float, seed: int, eta: float = 0.5) -> Signed
     return build_graph(triples, n=n)
 
 
-def listing_of(g: SignedGraph, edges: TriangleEdges) -> TriangleList:
-    """The listing of ``g`` that the edge-index columns ``edges`` came from,
-    its vertices recovered: x is the endpoint that edges xa and xb share,
-    a and b the other ends of xa and xb."""
+class Listing(NamedTuple):
+    """A triangle listing with its vertices: x is where edges xa and xb
+    meet, a and b are their other ends, and edge ab closes the wedge."""
+
+    x: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    xa: np.ndarray
+    xb: np.ndarray
+    ab: np.ndarray
+
+
+def listing_of(g: SignedGraph, edges: TriangleEdges) -> Listing:
+    """The listing of ``g`` whose edge-index columns are ``edges``, its
+    vertices recovered: x is the endpoint that edges xa and xb share, a and
+    b the other ends of xa and xb."""
     ua, a = g.u[edges.xa], g.v[edges.xa]
     ub, b = g.u[edges.xb], g.v[edges.xb]
     x = np.where((ua == ub) | (ua == b), ua, a)
     a += ua - x  # the end of xa that is not x, in place
     b += ub - x
-    return TriangleList(x=x, a=a, b=b, xa=edges.xa, xb=edges.xb, ab=edges.ab)
+    return Listing(x=x, a=a, b=b, xa=edges.xa, xb=edges.xb, ab=edges.ab)
 
 
 def power_law_signed_graph(

@@ -154,6 +154,28 @@ def test_sweep_refuses_zero_runs(runner, network_file, tmp_path):
     assert not (tmp_path / "sweep.tsv").exists()
 
 
+@pytest.mark.parametrize("alpha_grid, beta_grid, bad", [
+    ("nan,1.5", "0.5", "nan"),
+    ("0.5", "-2", "-2.0"),
+    ("0.7,1.5", "0.5", "1.5"),
+    ("0.5", "0.5,inf", "inf"),
+])
+def test_sweep_refuses_a_grid_value_outside_the_unit_interval(
+    runner, network_file, tmp_path, alpha_grid, beta_grid, bad
+):
+    out = tmp_path / "sweep.tsv"
+    result = runner.invoke(
+        main,
+        ["sweep", network_file, "--alpha-grid", alpha_grid, "--beta-grid", beta_grid,
+         "--runs", "1", "--out", str(out)],
+    )
+    assert result.exit_code == 1
+    assert "Traceback" not in result.output
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and f"{bad} is not in [0, 1]" in errors[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, option", [
     ("learn", "--em-iters"),
     ("sweep", "--em-iters"),
@@ -212,6 +234,40 @@ def test_pipeline_end_to_end(runner, network_file, tmp_path):
     report = json.loads((outdir / "report.json").read_text())
     for v in report["mean"].values():
         assert v == v  # no NaN
+
+
+@pytest.mark.parametrize("command", ["generate", "pipeline"])
+def test_rerun_with_fewer_runs_replaces_the_earlier_networks(
+    runner, network_file, tmp_path, command
+):
+    # A rerun into the same directory leaves exactly its own networks and
+    # manifests, so pipeline's report covers this call's runs only; other
+    # files stay.
+    params = tmp_path / "params.json"
+    assert runner.invoke(main, ["learn", network_file, "--out", str(params)]).exit_code == 0
+
+    def run(outdir, runs):
+        args = {
+            "generate": ["--params", str(params), "--outdir", str(outdir)],
+            "pipeline": ["--outdir", str(outdir)],
+        }[command]
+        result = runner.invoke(main, [command, network_file, *args, "--runs", str(runs)])
+        assert result.exit_code == 0, result.output
+        return outdir / "generated" if command == "pipeline" else outdir
+
+    rerun = run(tmp_path / "rerun", 3)
+    (rerun / "notes.txt").write_text("kept\n")
+    run(tmp_path / "rerun", 1)
+    fresh = run(tmp_path / "fresh", 1)
+    names = sorted(os.listdir(rerun))
+    assert names == ["generated_000.tsv", "manifest_000.json", "notes.txt"]
+    for name in names[:2]:
+        assert (rerun / name).read_bytes() == (fresh / name).read_bytes()
+    if command == "pipeline":
+        report = json.loads((tmp_path / "rerun" / "report.json").read_text())
+        assert len(report["runs"]) == 1
+        assert (tmp_path / "rerun" / "report.json").read_bytes() == (
+            tmp_path / "fresh" / "report.json").read_bytes()
 
 
 def counted_reads(monkeypatch):

@@ -14,7 +14,7 @@ from signet.baseline import stcl_generate
 from signet.errors import EmptyGraphError, RhoAtOneError, SignetError
 from signet.generate import generate
 from signet.graph import Sign, build_graph
-from signet.metrics import TriangleList, list_triangles, stats_report, take_triangles
+from signet.metrics import list_triangles, stats_report, take_triangles
 from signet.learn import (
     AB_MAX_ITERS,
     AB_TOL,
@@ -366,6 +366,26 @@ def test_learn_transient_memory_per_triangle(monkeypatch):
     assert peak / total <= 84
 
 
+def test_learn_again_transient_memory_per_triangle(monkeypatch):
+    # A second learn on one graph lists its triangles again, since the
+    # first took the kept listing. The listing is the three int32 edge
+    # indices that learn reads, so the peak is 86 B per triangle on this
+    # input; a listing that also gathered each triangle's vertices x, a and
+    # b, all as int64, peaked at 122.
+    monkeypatch.setattr(metrics, "WEDGE_BLOCK", 1024)
+    monkeypatch.setattr(learn, "TERM_BLOCK", 1024)
+    g = power_law_signed_graph(6000, 20000, seed=21, gamma=2.1)
+    total = stats_report(g).census.total
+    learn_parameters(g)
+    tracemalloc.start()
+    try:
+        learn_parameters(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / total <= 96
+
+
 def test_learned_parameters_do_not_depend_on_the_seed():
     g = power_law_signed_graph(200, 900, seed=3, eta=0.8)
     one, two = (learn_parameters(g, LearnConfig(seed=seed)) for seed in (1, 2))
@@ -405,7 +425,8 @@ def small_signed_graphs(draw):
 def test_learned_parameters_in_unit_interval_and_every_clamp_warned(g, seed):
     # Each closed-form update's last raw value, recomputed by its formula:
     # beta's, then alpha's, each outside [-CLAMP_EPS, 1 + CLAMP_EPS] must
-    # leave exactly one warning naming it, and nothing else may warn.
+    # leave exactly one warning naming it, and nothing else may warn. When
+    # rho ends at its cap, alpha's warning names the cap instead.
     last = {}
 
     def beta_spy(delta_b, dr, drb, dt):
@@ -426,7 +447,40 @@ def test_learned_parameters_in_unit_interval_and_every_clamp_warned(g, seed):
         for name, raw in last.items()
         if not -CLAMP_EPS <= raw <= 1.0 + CLAMP_EPS
     ]
+    if params.rho == 1.0 - RHO_EPS:
+        expected = [w for w in expected if not w.startswith("alpha")] + [
+            f"rho clamped to its cap 1 - 1e-06, so alpha is not identified "
+            f"(set to {params.alpha:g})"
+        ]
     assert [w for w in params.warnings if "clamped" in w] == expected
+
+
+def ring_lattice(n=300):
+    """Each vertex joined to its two nearest neighbours on each side, every
+    fifth edge negative: every edge closes wedges."""
+    pairs = sorted({tuple(sorted((i, (i + k) % n))) for i in range(n) for k in (1, 2)})
+    return build_graph(
+        [(u, v, -1 if e % 5 == 0 else 1) for e, (u, v) in enumerate(pairs)], n=n
+    )
+
+
+def test_rho_at_its_cap_warns_without_a_raw_alpha():
+    # EM on the ring drives rho to its cap within 5 iterations. Raw alpha
+    # divides by 1 - rho, so it reads 5336 after 3 iterations and 339944 at
+    # the cap, where RHO_EPS rather than the data sets its size.
+    runs = [
+        learn_parameters(ring_lattice(), LearnConfig(em_tol=0.0, em_max_iters=iters))
+        for iters in (5, 20)
+    ]
+    for params in runs:
+        assert params.rho == 1.0 - RHO_EPS
+        assert params.warnings == [
+            "rho clamped to its cap 1 - 1e-06, so alpha is not identified (set to 1)"
+        ]
+    assert [(p.alpha, p.beta) for p in runs] == [(1.0, runs[0].beta)] * 2
+    few = learn_parameters(ring_lattice(), LearnConfig(em_tol=0.0, em_max_iters=3))
+    assert few.rho < 1.0 - RHO_EPS
+    assert [w.split("=")[0] for w in few.warnings] == ["alpha"]
 
 
 @st.composite
@@ -465,8 +519,7 @@ def wedge_likelihoods_oracle(g, tri):
     """``learn.wedge_likelihoods`` as it read a listing's vertices: each
     term is the composite ``slot * M + key``, its orientation bit compares
     the listing's x, a and b, and d_i and d_k are read per vertex."""
-    if not isinstance(tri, TriangleList):
-        tri = listing_of(g, tri)
+    tri = listing_of(g, tri)
     m = g.m
     deg = g.degrees()
     t = len(tri.x)
@@ -524,7 +577,7 @@ def graphs_of_size(draw):
 @settings(max_examples=300, deadline=None)
 def test_wedge_likelihoods_equal_the_listing_oracle(g, columns, block, seed):
     # The kept columns are stats_report's read-only int32 memory maps, the
-    # fresh ones list_triangles' int64 listing, and a twin pair's those of
+    # fresh ones list_triangles' own, and a twin pair's those of
     # the pair's shared measurement; block None keeps TERM_BLOCK's default.
     if columns == "kept":
         stats_report(g)
