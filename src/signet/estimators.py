@@ -73,7 +73,8 @@ def delta_triangle_fast(degrees: Sequence[int], m: int) -> float:
     d = _check_degrees(degrees)
     n = len(d)
     if n < 3 or m < 2:
-        raise DegenerateDegreesError("need N >= 3 and M >= 2")
+        raise DegenerateDegreesError(f"learn's triangle estimates need N >= 3 and "
+                                     f"M >= 2; the input has N={n} and M={m}")
     avg_d = d.mean()
     avg_d2 = float((d * d).mean())
     idx = np.arange(1, n + 1, dtype=np.int64)

@@ -23,14 +23,14 @@ There is one path through the rounds. The STCL baseline
 topology and draws each sign i.i.d., positive with probability alpha.
 ``generate`` remembers each network it returns on its input, weakly, under
 (rho, str(seed)). STCL on the same input, rho and seed takes the (u, v)
-columns of such a network while the caller still holds it, and the two
-share one ``metrics.stats_report`` measurement of them (``_shared``).
-Otherwise it runs the rounds itself, at its own parameters, and keeps only
-their columns: the balance-aware signs they draw are discarded. Either way
-its signs are one numpy comparison over a fresh sign stream. Step t writes
-ring slot t, and after M steps ``head`` is back at 0, so output edge t is
-step t's edge. Its sign is positive iff uniform t of the sign stream,
-counted after the blocks FCL's sign ranking reads, is below alpha.
+columns of such a network while the caller still holds it, and is measured
+from it at once (``metrics.measure_twin``). Otherwise it runs the rounds
+itself, at its own parameters, and keeps only their columns: the
+balance-aware signs they draw are discarded. Either way its signs are one
+numpy comparison over a fresh sign stream. Step t writes ring slot t, and
+after M steps ``head`` is back at 0, so output edge t is step t's edge. Its
+sign is positive iff uniform t of the sign stream, counted after the blocks
+FCL's sign ranking reads, is below alpha.
 
 FCL draws its endpoint pairs in bulk, in chunks of whole blocks that hold
 at least 9M/8 pairs: pair i is the two entries of pi that words 2i and
@@ -71,6 +71,7 @@ import numpy as np
 from .errors import NoCommonNeighborError, RetryExhaustedError, StallError
 from .graph import SignedGraph, build_graph, build_sampling_vector
 from .learn import ModelParams
+from .metrics import measure_twin
 
 STEP_RETRY_BUDGET = 100
 WEDGE_WALK_RETRIES = 10
@@ -351,12 +352,8 @@ def _iid_generate(g_input: SignedGraph, params: ModelParams, seed: int) -> Signe
     sign = np.where(_uniforms(words) < params.alpha, 1, -1).astype(np.int8)
     sign.flags.writeable = False
     out = replace(topology, sign=sign)
-    # A held network and its twin share one measurement of their topology,
-    # unless the held one was measured alone and so shares nothing.
-    if held is not None and (held._stats is None or held._shared is not None):
-        if held._shared is None:
-            object.__setattr__(held, "_shared", {})
-        object.__setattr__(out, "_shared", held._shared)
+    if held is not None:
+        measure_twin(out, held)
     return out
 
 

@@ -55,22 +55,19 @@ class SignedGraph:
     v: np.ndarray  # int64, larger endpoint
     sign: np.ndarray  # int8, +1 or -1
     labels: Optional[tuple] = None
-    # The graph's measured properties, set once by ``metrics.stats_report``.
+    # The graph's measured properties, set once by ``metrics.stats_report``,
+    # or by ``metrics.measure_twin`` when an STCL twin is made.
     _stats: Optional[GraphStats] = field(default=None, init=False, repr=False)
     # The triangle listing of that measurement (its three edge-index
     # columns) until ``learn`` takes it (``metrics.take_triangles``) and
-    # reads its wedge likelihoods from them, or ``evaluate`` drops it; a
-    # graph that shares one with its twin keeps it in ``_shared``.
+    # reads its wedge likelihoods from them, ``evaluate`` drops it, or an
+    # STCL twin takes it to be measured (``metrics.measure_twin``).
     _triangles: Optional[TriangleEdges] = field(default=None, init=False, repr=False)
     # The networks ``generate`` made from this graph and the caller still
     # holds, keyed by (rho, str(seed)); set on its first call.
     _generated: Optional[weakref.WeakValueDictionary] = field(
         default=None, init=False, repr=False
     )
-    # One dict shared by a network and its STCL twins, which have the same
-    # (u, v) columns; set by ``generate``, filled by the first
-    # ``metrics.stats_report`` of any of them. It holds no graph.
-    _shared: Optional[dict] = field(default=None, init=False, repr=False)
 
     @property
     def m(self) -> int:

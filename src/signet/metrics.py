@@ -15,10 +15,10 @@ graph's ``_triangles`` slot, so the input's triangles are listed once
 across analyze and learn: ``take_triangles`` hands them to learn, which
 leaves the graph without a listing, and ``evaluate`` drops a generated
 network's as soon as it has measured it.
-A network and its STCL twin (same (u, v) columns, other signs) share one
-measurement instead: the first of them measured keeps its result and its
-edge indices in the pair's ``_shared`` dict, and the other reuses the
-degrees, clustering and histogram and counts its census over those indices.
+An STCL network made from a held network of ``generate``'s (same (u, v)
+columns, other signs) is measured when it is made, by ``measure_twin``: it
+reuses that network's degrees, clustering and histogram and counts its
+census over that network's listing, which the held network then gives up.
 """
 
 from __future__ import annotations
@@ -182,12 +182,23 @@ def stats_report(g: SignedGraph) -> GraphStats:
     return g._stats
 
 
+def measure_twin(g: SignedGraph, twin: SignedGraph) -> None:
+    """Measure ``g`` from ``twin``, a network with the same (u, v) columns
+    and other signs: ``g``'s measurement is ``stats_report(twin)`` with
+    ``g``'s own eta, m_positive, census and delta_b, the census counted over
+    the listing that ``take_triangles(twin)`` hands over."""
+    census = triangle_census(g, take_triangles(twin))
+    object.__setattr__(g, "_stats", replace(
+        stats_report(twin), eta=compute_eta(g), delta_b=census.delta_b,
+        census=census, m_positive=g.m_positive,
+    ))
+
+
 def take_triangles(g: SignedGraph) -> TriangleEdges:
     """``g``'s measurement's listing (``stats_report``), after which ``g``
-    holds none of its own; a listing that ``g`` shares with its STCL twin
-    stays with the pair. If an earlier call took it, ``g`` is listed again."""
+    holds none. If an earlier call took it, ``g`` is listed again."""
     stats_report(g)
-    edges = g._triangles if g._shared is None else g._shared["edges"]
+    edges = g._triangles
     drop_triangles(g)
     return list_triangles(g) if edges is None else edges
 
@@ -214,13 +225,6 @@ def _kept(columns: list[np.ndarray]) -> np.ndarray:
 
 
 def _measure(g: SignedGraph) -> GraphStats:
-    shared = g._shared
-    if shared:  # a twin was measured first: only the signs differ
-        census = triangle_census(g, shared["edges"])
-        return replace(
-            shared["stats"], eta=compute_eta(g), delta_b=census.delta_b,
-            census=census, m_positive=g.m_positive,
-        )
     columns = list(list_triangles(g))
     census = triangle_census(g, TriangleEdges(*columns))
     # 2 T_v is the sum, over v's edges e, of the triangles through e.
@@ -242,8 +246,5 @@ def _measure(g: SignedGraph) -> GraphStats:
         m=g.m,
         m_positive=g.m_positive,
     )
-    if shared is None:
-        object.__setattr__(g, "_triangles", edges)
-    else:
-        shared.update(stats=stats, edges=edges)
+    object.__setattr__(g, "_triangles", edges)
     return stats

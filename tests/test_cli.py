@@ -1,9 +1,13 @@
 import gc
+import itertools
 import json
 import os
+import tempfile
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signet import cli
 from signet.cli import main
@@ -390,7 +394,22 @@ def test_signet_error_is_one_line_nonzero_exit(runner, tmp_path):
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
     errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
-    assert errors == ["Error: need N >= 3 and M >= 2"]
+    assert errors == [
+        "Error: learn's triangle estimates need N >= 3 and M >= 2; "
+        "the input has N=2 and M=1"
+    ]
+
+
+def test_pipeline_on_one_edge_names_the_stage_and_the_input_size(runner, tmp_path):
+    path = tmp_path / "one_edge.tsv"
+    path.write_text("0\t1\t+1\n")
+    result = runner.invoke(main, ["pipeline", str(path), "--outdir", str(tmp_path / "o")])
+    assert result.exit_code == 1
+    assert "Traceback" not in result.output
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1
+    assert "learn's triangle estimates" in errors[0]
+    assert "N=2" in errors[0] and "M=1" in errors[0]
 
 
 def test_generate_on_complete_input_is_one_line_error(runner, tmp_path):
@@ -467,3 +486,65 @@ def test_generate_malformed_params_is_one_line_error(runner, network_file, tmp_p
     errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
     assert len(errors) == 1
     assert reason in errors[0]
+
+
+def _pairs(draw, n, min_size, max_size):
+    every = list(itertools.combinations(range(n), 2))
+    return draw(st.lists(st.sampled_from(every), min_size=min(min_size, len(every)),
+                         max_size=max_size, unique=True))
+
+
+@st.composite
+def degenerate_inputs(draw):
+    """The rows (u, v, sign) of a tiny, triangle-free, single-sign,
+    disconnected or dense-but-not-complete graph with a few dozen edges at
+    most."""
+    shape = draw(st.sampled_from(
+        ["tiny", "triangle-free", "single-sign", "disconnected", "dense"]
+    ))
+    if shape == "tiny":
+        pairs = _pairs(draw, draw(st.integers(2, 4)), 1, 3)
+    elif shape == "triangle-free":  # bipartite: sides [0, a) and [a, a + b)
+        a, b = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+        every = [(i, a + j) for i in range(a) for j in range(b)]
+        pairs = draw(st.lists(st.sampled_from(every), min_size=1, unique=True))
+    elif shape == "dense":  # K_k without one to three of its edges
+        k = draw(st.integers(4, 7))
+        missing = set(_pairs(draw, k, 1, 3))
+        pairs = [p for p in itertools.combinations(range(k), 2) if p not in missing]
+    elif shape == "disconnected":  # two components, the second shifted past the first
+        n = draw(st.integers(3, 6))
+        pairs = _pairs(draw, n, 2, 10)
+        pairs += [(u + n, v + n) for u, v in _pairs(draw, draw(st.integers(2, 6)), 1, 10)]
+    else:
+        pairs = _pairs(draw, draw(st.integers(3, 8)), 2, 15)
+    if shape == "single-sign":
+        signs = [draw(st.sampled_from([1, -1]))] * len(pairs)
+    else:
+        signs = draw(st.lists(st.sampled_from([1, -1]), min_size=len(pairs),
+                              max_size=len(pairs)))
+    return [(u, v, s) for (u, v), s in zip(pairs, signs)]
+
+
+@given(degenerate_inputs(), st.integers(0, 2**16))
+@settings(max_examples=100, deadline=None)
+def test_pipeline_on_a_degenerate_input_writes_a_report_or_one_error(rows, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.tsv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(f"{u}\t{v}\t{s:+d}\n" for u, v, s in rows)
+        out = os.path.join(tmp, "out")
+        result = CliRunner().invoke(main, [
+            "pipeline", path, "--outdir", out, "--runs", "1", "--em-iters", "3",
+            "--seed", str(seed),
+        ])
+        assert "Traceback" not in result.output
+        if result.exit_code == 0:
+            with open(os.path.join(out, "report.json"), encoding="utf-8") as fh:
+                assert len(json.load(fh)["runs"]) == 1
+        else:
+            assert result.exit_code == 1, result.output
+            assert isinstance(result.exception, SystemExit)
+            errors = [line for line in result.output.splitlines()
+                      if line.startswith("Error:")]
+            assert len(errors) == 1, result.output

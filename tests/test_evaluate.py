@@ -136,9 +136,10 @@ def test_a_batch_and_its_stcl_twins_list_each_topology_once(listings):
     params = ModelParams(rho=0.5, alpha=0.85, beta=0.9, eta=0.85, delta_b=0.8)
     nets = [generate(g, params, seed=s) for s in (1, 2)]
     twins = [stcl_generate(g, params.rho, s) for s in (1, 2)]
+    assert listings == nets  # each twin was measured from its network
     evaluate(g, nets)
     report = evaluate(g, twins)
-    assert listings == [g, *nets]
+    assert listings == [*nets, g]
     alone = evaluate(g, [dataclasses.replace(t) for t in twins])
     assert report.to_dict() == alone.to_dict()
 

@@ -914,42 +914,54 @@ def test_a_network_and_its_stcl_twin_share_one_measurement(
     assert second.degree_histogram is first.degree_histogram
 
 
-def test_only_a_network_and_its_twin_keep_a_listing():
-    # A shared listing, in ``_shared``; a graph measured alone keeps its own
-    # in ``_triangles`` until learn takes it or evaluate drops it.
+def test_a_network_and_its_twin_keep_no_listing():
+    # A graph measured alone keeps its listing in ``_triangles`` until learn
+    # takes it or evaluate drops it; an STCL twin made from a held network
+    # is measured at once over that network's listing, which it takes.
     g = ORACLE_GRAPHS["power-law"]()
     cold = stcl_generate(g, 0.6, seed=3)  # no held network: the rounds run
+    assert cold._stats is None
     alone = generate(g, make_params(rho=0.6), seed=4)
     for h in (g, cold, alone):
         stats_report(h)
-    assert g._shared is cold._shared is alone._shared is None
-    late = stcl_generate(g, 0.6, seed=4)  # its network was measured alone
-    stats_report(late)
-    assert late._shared is alone._shared is None
+        assert h._triangles.xa.dtype == np.int32
     net = generate(g, make_params(rho=0.6), seed=3)
     twin = stcl_generate(g, 0.6, seed=3)
-    stats_report(net)
-    assert twin._shared is net._shared
-    for column in net._shared["edges"]:
-        assert column.dtype == np.int32
-        assert len(column) == stats_report(net).census.total
-    stats_report(twin)
+    assert net._stats is not None and twin._stats is not None
+    assert net._triangles is None and twin._triangles is None
     held = weakref.ref(net)
     del net
     gc.collect()
-    assert held() is None  # the shared measurement holds no graph
+    assert held() is None  # the twin holds no graph
 
 
-def test_learn_on_a_network_reads_its_twins_listing_and_leaves_it(listings):
+@pytest.mark.parametrize("before", ["measured", "learned"])
+def test_a_twin_made_after_its_network_was_measured_is_measured_from_it(
+    listings, before
+):
     g = ORACLE_GRAPHS["power-law"]()
     net = generate(g, make_params(rho=0.6), seed=3)
+    if before == "measured":
+        stats_report(net)  # net keeps its listing for the twin
+    else:
+        learn_parameters(net, LearnConfig(em_tol=0.0, em_max_iters=5))
     twin = stcl_generate(g, 0.6, seed=3)
-    twin_stats = stats_report(twin)
-    edges = net._shared["edges"]
+    # Learn took net's listing, so the twin lists net again.
+    assert listings == ([net] if before == "measured" else [net, net])
+    assert twin._stats is not None and net._triangles is None
+    assert twin._stats == stats_report(fresh(twin))
+    assert twin._stats.degrees is net._stats.degrees
+
+
+def test_learn_on_a_network_with_a_twin_lists_it_again(listings):
+    g = ORACLE_GRAPHS["power-law"]()
+    net = generate(g, make_params(rho=0.6), seed=3)
+    twin = stcl_generate(g, 0.6, seed=3)  # takes net's listing
+    twin_stats = twin._stats
     learned = learn_parameters(net, LearnConfig(em_tol=0.0, em_max_iters=5))
-    assert listings == [twin]
+    assert listings == [net, net]
     assert twin._stats is twin_stats and twin_stats == stats_report(fresh(twin))
-    assert net._shared is twin._shared and net._shared["edges"] is edges
+    assert net._triangles is None
     alone = learn_parameters(fresh(net), LearnConfig(em_tol=0.0, em_max_iters=5))
     assert learned.to_dict() == alone.to_dict()
 

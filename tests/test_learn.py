@@ -340,7 +340,7 @@ def test_learn_leaves_the_input_without_a_listing():
     assert total > 0
     assert sum(column.nbytes for column in g._triangles) == 12 * total
     learn_parameters(g, LearnConfig(seed=1))
-    assert g._triangles is None and g._shared is None
+    assert g._triangles is None
     unmeasured = dataclasses.replace(g)
     learn_parameters(unmeasured, LearnConfig(seed=1))
     assert unmeasured._stats is not None and unmeasured._triangles is None
@@ -577,8 +577,8 @@ def graphs_of_size(draw):
 @settings(max_examples=300, deadline=None)
 def test_wedge_likelihoods_equal_the_listing_oracle(g, columns, block, seed):
     # The kept columns are stats_report's read-only int32 memory maps, the
-    # fresh ones list_triangles' own, and a twin pair's those of
-    # the pair's shared measurement; block None keeps TERM_BLOCK's default.
+    # fresh ones list_triangles' own, and a twin's those its held network
+    # kept; block None keeps TERM_BLOCK's default.
     if columns == "kept":
         stats_report(g)
         tri = take_triangles(g)
@@ -591,9 +591,10 @@ def test_wedge_likelihoods_equal_the_listing_oracle(g, columns, block, seed):
             net = generate(g, ModelParams(0.5, 0.8, 0.9, 0.7, 0.8), seed)
         except SignetError:
             return
-        stats_report(stcl_generate(g, 0.5, seed))  # net is held: its twin
-        g, tri = net, take_triangles(net)
-        assert tri is net._shared["edges"]
+        stats_report(net)
+        tri = net._triangles
+        g = stcl_generate(g, 0.5, seed)  # net is held: measured over tri
+        assert net._triangles is None
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
             mp.setattr(learn, "TERM_BLOCK", block)
