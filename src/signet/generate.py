@@ -196,7 +196,10 @@ def fcl_initialize(state: GenerationState, eta: float) -> None:
         if len(first) >= m:
             break
         if len(pairs) == budget:
-            raise StallError(f"FCL could not place {m} distinct edges")
+            raise StallError(
+                f"generate's FCL could not place {m} distinct edges "
+                f"(input N={n}, M={m})"
+            )
     ring = pairs[first[:m]]
     del pairs, keys, u, v, first  # the draws, before the rows are built
     signs = np.ones(m, np.int64)
@@ -297,7 +300,8 @@ def generation_step(state: GenerationState) -> None:
         state.steps_done += 1
         return
     raise RetryExhaustedError(
-        f"step {state.steps_done}: no legal edge after {STEP_RETRY_BUDGET} tries"
+        f"generate's step {state.steps_done} found no legal edge after "
+        f"{STEP_RETRY_BUDGET} tries (input N={state.n}, M={state.target_m})"
     )
 
 

@@ -5,7 +5,10 @@ triangle counts feeding local clustering), the balanced-triangle fraction
 Δ_B and the degree histogram.
 
 Triangles come from one vectorised listing (``list_triangles``) over the
-graph's edge columns. A listing is its three edge-index columns
+graph's edge columns, Latapy's forward algorithm in numpy: each forward
+edge's run of wedges is laid out whole, in blocks of about
+``WEDGE_BLOCK`` wedges, and each wedge's closing edge is looked up in the
+sorted forward edge keys. A listing is its three edge-index columns
 (``TriangleEdges``, int32 while M < 2^31): the census, the per-vertex
 triangle counts behind clustering and the EM wedge likelihoods in ``learn``
 all read those columns alone. ``stats_report`` measures a graph once: its
@@ -36,7 +39,7 @@ from .graph import SignedGraph
 
 TRIANGLE_TYPES = ("+++", "++-", "+--", "---")
 
-WEDGE_BLOCK = 1 << 16  # forward wedges checked per numpy block
+WEDGE_BLOCK = 1 << 16  # forward wedges per numpy block, plus one run
 
 
 @dataclass(frozen=True)
@@ -112,10 +115,11 @@ def list_triangles(g: SignedGraph) -> TriangleEdges:
     Vertices are ranked by (degree, id) and each edge points from its
     lower-ranked to its higher-ranked endpoint, so every triangle has one
     vertex whose two forward edges make a wedge closed by the third. The
-    forward wedges are enumerated in blocks of ``WEDGE_BLOCK`` (a block may
-    cut inside a hub's row) and each closing pair is looked up in the
-    sorted forward edge keys, keeping memory bounded by the block size plus
-    the triangles found.
+    forward wedges are enumerated in blocks of whole forward-edge runs, at
+    most ``WEDGE_BLOCK`` wedges plus one run (no longer than the largest
+    forward out-degree), and each closing pair is looked up in the sorted
+    forward edge keys, keeping memory bounded by the block size plus the
+    triangles found.
     """
     return _closed_wedges(g.n, *_forward_edges(g))
 
@@ -140,7 +144,13 @@ def _closed_wedges(
 ) -> TriangleEdges:
     """The edge indices ``fwd`` of every forward wedge p, q (p < q in one
     row) and of the forward edge pos that closes it, for positions p, q and
-    pos in the sorted forward edges."""
+    pos in the sorted forward edges, in wedge order.
+
+    Forward edge p's run is its wedges with the later edges of its row. A
+    block is a range of whole runs, cut before each run that reaches the
+    next multiple of ``WEDGE_BLOCK`` wedges, so it holds at most
+    ``WEDGE_BLOCK`` wedges plus one run (a run longer than the block is a
+    block of its own)."""
     m = len(flo)
     fkey = flo * n + fhi
     row_end = np.cumsum(np.bincount(flo, minlength=n))
@@ -148,14 +158,17 @@ def _closed_wedges(
     row_len = row_end[flo] - 1 - np.arange(m)
     wedge_end = np.cumsum(row_len)
     n_wedges = int(wedge_end[-1]) if m else 0
-    found = ([fwd[:0]], [fwd[:0]], [fwd[:0]])  # xa, xb and ab, in blocks
-    for w0 in range(0, n_wedges, WEDGE_BLOCK):
-        w = np.arange(w0, min(w0 + WEDGE_BLOCK, n_wedges))
-        p = np.searchsorted(wedge_end, w, side="right")
-        q = p + 1 + w - (wedge_end[p] - row_len[p])
+    cuts = np.searchsorted(wedge_end, np.arange(WEDGE_BLOCK, n_wedges, WEDGE_BLOCK))
+    bounds = [0, *cuts.tolist(), m]
+    found = ([], [], [])  # xa, xb and ab, in blocks
+    for p0, p1 in zip(bounds, bounds[1:]):
+        rows, lens = np.arange(p0, p1), row_len[p0:p1]
+        p = np.repeat(rows, lens)
+        # Run p's wedges pair it with q = p + 1, p + 2, ... in order.
+        q = np.arange(len(p)) + np.repeat(rows + 1 - (np.cumsum(lens) - lens), lens)
         key = fhi[p] * n + fhi[q]
         pos = np.minimum(np.searchsorted(fkey, key), m - 1)
-        hit = fkey[pos] == key
+        hit = np.flatnonzero(fkey[pos] == key)
         for parts, at in zip(found, (p, q, pos)):
             parts.append(fwd[at[hit]])
     return TriangleEdges(*map(np.concatenate, found))

@@ -548,3 +548,5 @@ def test_pipeline_on_a_degenerate_input_writes_a_report_or_one_error(rows, seed)
             errors = [line for line in result.output.splitlines()
                       if line.startswith("Error:")]
             assert len(errors) == 1, result.output
+            # The error names the stage that refused the input.
+            assert "learn" in errors[0] or "generate" in errors[0], result.output

@@ -138,7 +138,10 @@ def test_fcl_stall_on_impossible_target():
     state = GenerationState(
         n=2, pi=np.array([0, 1]), target_m=2, rho=0.0, alpha=0.5, beta=0.5, seed=0,
     )
-    with pytest.raises(StallError):
+    with pytest.raises(
+        StallError,
+        match=r"^generate's FCL could not place 2 distinct edges \(input N=2, M=2\)$",
+    ):
         fcl_initialize(state, 0.5)
     one_block = random.Random("0:topology")
     one_block.getrandbits(64 * G.BLOCK)
@@ -566,7 +569,10 @@ def oracle_fcl(state):
     drawn = 0
     while len(state.live) < m:
         if drawn == 100 * m:
-            raise StallError(f"FCL could not place {m} distinct edges")
+            raise StallError(
+                f"generate's FCL could not place {m} distinct edges "
+                f"(input N={state.n}, M={m})"
+            )
         drawn += 1
         u = pi[words.index(len(pi))]
         v = pi[words.index(len(pi))]
@@ -638,7 +644,8 @@ def oracle_step(state):
         state.steps_done += 1
         return
     raise RetryExhaustedError(
-        f"step {state.steps_done}: no legal edge after 100 tries"
+        f"generate's step {state.steps_done} found no legal edge after 100 "
+        f"tries (input N={state.n}, M={state.target_m})"
     )
 
 

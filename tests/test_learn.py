@@ -287,8 +287,9 @@ EM_GRAPHS = {
 @pytest.mark.parametrize("block", [None, 3, "M"])
 @pytest.mark.parametrize("seed", [0, 1, 42])
 def test_em_equals_per_edge_oracle_bit_for_bit(name, block, seed, monkeypatch):
-    # Blocks of 3 cut rows in the listing and force many slot-aligned term
-    # blocks, blocks of M fewer; None keeps the module's defaults.
+    # Blocks of 3 give nearly every forward run a listing block of its own
+    # and force many slot-aligned term blocks, blocks of M fewer; None
+    # keeps the module's defaults.
     g = EM_GRAPHS[name]()
     if block is not None:
         size = g.m if block == "M" else block

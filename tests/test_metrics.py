@@ -219,7 +219,7 @@ def assert_census_matches_oracle(g):
 @given(signed_graphs(), st.integers(1, 7))
 @settings(max_examples=150, deadline=None)
 def test_census_and_per_vertex_match_oracle_any_block(g, block):
-    # Tiny wedge blocks cut the forward listing inside every row.
+    # Tiny wedge blocks give nearly every forward run a block of its own.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(metrics, "WEDGE_BLOCK", block)
         assert_census_matches_oracle(g)
@@ -276,6 +276,49 @@ def test_edge_indices_recover_the_listing(g, block):
     assert [c.dtype for c in edges] == [np.int32] * 3
     if g.m:
         assert [c.tolist() for c in kept] == [c.tolist() for c in edges]
+
+
+def closed_wedges_oracle(n, fwd, flo, fhi):
+    """The listing ``metrics._closed_wedges`` gives, in its order, with
+    each wedge's forward edge p found by a binary search over the running
+    wedge counts and all wedges in one block."""
+    m = len(flo)
+    fkey = flo * n + fhi
+    row_end = np.cumsum(np.bincount(flo, minlength=n))
+    row_len = row_end[flo] - 1 - np.arange(m)
+    wedge_end = np.cumsum(row_len)
+    w = np.arange(int(wedge_end[-1]) if m else 0)
+    p = np.searchsorted(wedge_end, w, side="right")
+    q = p + 1 + w - (wedge_end[p] - row_len[p])
+    key = fhi[p] * n + fhi[q]
+    pos = np.minimum(np.searchsorted(fkey, key), m - 1)
+    hit = fkey[pos] == key
+    return metrics.TriangleEdges(fwd[p[hit]], fwd[q[hit]], fwd[pos[hit]])
+
+
+def assert_listing_matches_order_oracle(g):
+    edges = list_triangles(g)
+    expected = closed_wedges_oracle(g.n, *metrics._forward_edges(g))
+    assert [c.dtype for c in edges] == [np.int32] * 3
+    assert [c.tolist() for c in edges] == [c.tolist() for c in expected]
+
+
+@given(signed_graphs(), st.integers(1, 7))
+@settings(max_examples=150, deadline=None)
+def test_listing_matches_the_per_wedge_search_in_order(g, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "WEDGE_BLOCK", block)
+        assert_listing_matches_order_oracle(g)
+
+
+def test_a_run_longer_than_the_block_is_listed_in_order(monkeypatch):
+    # Hubs give this graph forward runs of up to 18 wedges, so a block of 8
+    # holds a single run that is longer than the block.
+    g = power_law_signed_graph(3000, 9000, seed=3, gamma=2.1)
+    longest = int(np.bincount(metrics._forward_edges(g)[1]).max()) - 1
+    monkeypatch.setattr(metrics, "WEDGE_BLOCK", 8)
+    assert longest > metrics.WEDGE_BLOCK
+    assert_listing_matches_order_oracle(g)
 
 
 def test_stats_report_transient_memory_per_triangle(monkeypatch):
