@@ -7,17 +7,19 @@ triangle counts feeding local clustering), the balanced-triangle fraction
 Triangles come from one vectorised listing (``list_triangles``) over the
 graph's edge columns, Latapy's forward algorithm in numpy: each forward
 edge's run of wedges is laid out whole, in blocks of about
-``WEDGE_BLOCK`` wedges, and each wedge's closing edge is looked up in the
-sorted forward edge keys. A listing is its three edge-index columns
-(``TriangleEdges``, int32 while M < 2^31): the census, the per-vertex
-triangle counts behind clustering and the EM wedge likelihoods in ``learn``
-all read those columns alone. ``stats_report`` measures a graph once: its
-result is kept on the graph, so analyze, learn, evaluate and sweep share
-one measurement of the input. The measurement keeps its listing in the
-graph's ``_triangles`` slot, so the input's triangles are listed once
-across analyze and learn: ``take_triangles`` hands them to learn, which
-leaves the graph without a listing, and ``evaluate`` drops a generated
-network's as soon as it has measured it.
+``WEDGE_BLOCK`` wedges, and each wedge's closing edge is looked up in a
+slot table hashed once per listing from the sorted forward edge keys, with
+the keys that lost their slot searched in a small sorted spill. A listing
+is its three edge-index columns (``TriangleEdges``, int32 while
+M < 2^31): the census, the per-vertex triangle counts behind clustering
+and the EM wedge likelihoods in ``learn`` all read those columns alone.
+``stats_report`` measures a graph once: its result is kept on the graph,
+so analyze, learn, evaluate and sweep share one measurement of the input.
+The measurement keeps its listing in the graph's ``_triangles`` slot, so
+the input's triangles are listed once across analyze and learn:
+``take_triangles`` hands them to learn, which leaves the graph without a
+listing, and ``evaluate`` drops a generated network's as soon as it has
+measured it.
 An STCL network made from a held network of ``generate``'s (same (u, v)
 columns, other signs) is measured when it is made, by ``measure_twin``: it
 reuses that network's degrees, clustering and histogram and counts its
@@ -117,9 +119,9 @@ def list_triangles(g: SignedGraph) -> TriangleEdges:
     vertex whose two forward edges make a wedge closed by the third. The
     forward wedges are enumerated in blocks of whole forward-edge runs, at
     most ``WEDGE_BLOCK`` wedges plus one run (no longer than the largest
-    forward out-degree), and each closing pair is looked up in the sorted
-    forward edge keys, keeping memory bounded by the block size plus the
-    triangles found.
+    forward out-degree), and each closing pair is looked up in a slot table
+    of 2M to 4M int32 positions hashed from the sorted forward edge keys,
+    keeping memory bounded by M, the block size and the triangles found.
     """
     return _closed_wedges(g.n, *_forward_edges(g))
 
@@ -150,7 +152,16 @@ def _closed_wedges(
     block is a range of whole runs, cut before each run that reaches the
     next multiple of ``WEDGE_BLOCK`` wedges, so it holds at most
     ``WEDGE_BLOCK`` wedges plus one run (a run longer than the block is a
-    block of its own)."""
+    block of its own).
+
+    The closing pair's key is looked up in a table of 2^bits slots (2M to
+    4M), built once from the M sorted forward keys: each slot holds the
+    position of the one key ``_slot`` sends there that won it, or 0 when
+    none did. The keys that lost their slot make the spill, ascending and
+    so sorted; a slot that lost a key holds its winner complemented (~pos),
+    and only a miss there searches the spill. A miss in an empty slot
+    reads position 0, which is no false hit: the key of position 0 hashes
+    to a slot that is not empty."""
     m = len(flo)
     fkey = flo * n + fhi
     row_end = np.cumsum(np.bincount(flo, minlength=n))
@@ -160,18 +171,48 @@ def _closed_wedges(
     n_wedges = int(wedge_end[-1]) if m else 0
     cuts = np.searchsorted(wedge_end, np.arange(WEDGE_BLOCK, n_wedges, WEDGE_BLOCK))
     bounds = [0, *cuts.tolist(), m]
+    del wedge_end, cuts
+    bits = m.bit_length() + 1
+    own = np.arange(m, dtype=fwd.dtype)
+    slot = _slot(fkey, bits)
+    table = np.zeros(1 << bits, dtype=fwd.dtype)
+    table[slot] = own  # one position per slot survives
+    spill = np.flatnonzero(table[slot] != own)
+    table[slot[spill]] = ~table[slot[spill]]  # once, however many it lost
+    spill_key = fkey[spill]
+    del own, slot
     found = ([], [], [])  # xa, xb and ab, in blocks
     for p0, p1 in zip(bounds, bounds[1:]):
         rows, lens = np.arange(p0, p1), row_len[p0:p1]
         p = np.repeat(rows, lens)
         # Run p's wedges pair it with q = p + 1, p + 2, ... in order.
         q = np.arange(len(p)) + np.repeat(rows + 1 - (np.cumsum(lens) - lens), lens)
-        key = fhi[p] * n + fhi[q]
-        pos = np.minimum(np.searchsorted(fkey, key), m - 1)
-        hit = np.flatnonzero(fkey[pos] == key)
+        key = fhi[p]
+        key *= n
+        key += fhi[q]
+        pos = table[_slot(key, bits)]
+        crowded = pos < 0
+        np.maximum(pos, ~pos, out=pos)  # ~pos where pos < 0
+        hit = fkey[pos] == key
+        ask = np.flatnonzero(crowded > hit)  # the misses in crowded slots
+        s = np.minimum(np.searchsorted(spill_key, key[ask]), len(spill) - 1)
+        ok = spill_key[s] == key[ask]
+        pos[ask[ok]] = spill[s[ok]]
+        hit[ask[ok]] = True
+        hit = np.flatnonzero(hit)
         for parts, at in zip(found, (p, q, pos)):
             parts.append(fwd[at[hit]])
+    del table, spill, spill_key  # the join below is the listing's peak
     return TriangleEdges(*map(np.concatenate, found))
+
+
+def _slot(key: np.ndarray, bits: int) -> np.ndarray:
+    """Each int64 ``key``'s slot among 2^bits: the top ``bits`` bits of its
+    Fibonacci hash, key * 2^64 / golden ratio mod 2^64 (Knuth, TAOCP 3,
+    6.4). The uint64 operands keep numpy 1.24 and 2.x in agreement."""
+    h = key.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    h >>= np.uint64(64 - bits)
+    return h.view(np.intp)
 
 
 def triangle_census(g: SignedGraph, tri: TriangleEdges) -> TriangleCensus:
