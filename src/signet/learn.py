@@ -3,8 +3,11 @@ closed-form updates for the sign-correction and balance parameters.
 
 The EM's wedge likelihoods do not depend on rho, so they are computed once
 per edge orientation, with sums taken in the same order as the scalar
-definition ``em_edge_responsibility``; each iteration then scores every
-edge orientation with array expressions, each responsibility equal bit for
+definition ``em_edge_responsibility``. A term's weight 1/(d_i d_k) belongs
+to its key edge (i, k), so it is read from one per-edge array, and each
+triangle's orientation bits come from comparing its edges' endpoint sums.
+Each iteration then scores every edge orientation with array expressions
+written into two buffers allocated once, each responsibility equal bit for
 bit to the scalar definition's.
 ``learn_parameters`` reads eta and the census from the input's measurement
 (``metrics.stats_report``) and the wedge likelihoods from that
@@ -123,22 +126,25 @@ def _wedge_terms(g: SignedGraph, tri: TriangleEdges) -> tuple[np.ndarray, int]:
     (o = 1) endpoint v_i. A triangle (i, j, k) gives slot (i -> j) the term
     1/(d_i d_k), keyed by the index of edge (i, k): k's place in i's row.
     Since key < 2^s, the composites sort as ``slot * M + key`` would; the
-    largest, (2M - 1) << s, fits int64 while M <= 2^31. v_i is the end that
-    edges e and key share, so o = 1 iff v[e] is an end of edge key.
+    largest, (2M - 1) << s, fits int64 while M <= 2^31. Each o compares two
+    endpoint sums: with S = u + v per edge, x + a = S[xa], x + b = S[xb] and
+    a + b = S[ab], and no two sums tie, as a triangle's vertices differ.
     """
-    u, v = g.u, g.v
     s = max(1, (g.m - 1).bit_length())
     t = len(tri.xa)
-    # o of x -> a, x -> b and a -> b, found before the terms are allocated
-    # so that their transients do not add to the terms' peak: x > a iff
-    # v[xa] is an end of xb, x > b iff v[xb] is an end of xa, and a > b iff
-    # v[ab] (a or b) is an end of xa.
-    bits = []
-    for e, other in ((tri.xa, tri.xb), (tri.xb, tri.xa), (tri.ab, tri.xa)):
-        top = v[e]
-        bits.append((top == u[other]) | (top == v[other]))
-        del top
+    # o of x -> a, x -> b and a -> b: x > a iff S[xb] > S[ab], x > b iff
+    # S[xa] > S[ab], and a > b iff S[xa] > S[xb]. The sums are gathered
+    # into the terms' own storage, so they add nothing to the terms' peak;
+    # every index is in range, and mode="clip" spares take a copy of out.
     terms = np.empty(6 * t, dtype=np.int64)
+    ends = g.u + g.v
+    s_xa, s_xb, s_ab = (
+        np.take(ends, e, out=terms[i * t:(i + 1) * t], mode="clip")
+        for i, e in enumerate((tri.xa, tri.xb, tri.ab))
+    )
+    del ends
+    bits = [s_xb > s_ab, s_xa > s_ab, s_xa > s_xb]
+    del s_xa, s_xb, s_ab
     # (edge i-j, edge i-k, o) for the six orientations of each triangle,
     # two per edge: i -> j, then j -> i, whose o is the first's flipped.
     for part, (e, key, o) in enumerate([
@@ -164,11 +170,11 @@ def wedge_likelihoods(g: SignedGraph, tri: TriangleEdges) -> np.ndarray:
     Equal bit for bit to the ``wedge`` sum of ``em_edge_responsibility``:
     each slot's terms are summed by ``np.bincount`` in key order, which is
     the order of the scalar walk over v_i's row, and a block never splits a
-    slot. d_i is read per slot and d_k as edge (i, k)'s degree sum less d_i.
+    slot. A term's weight 1/(d_i d_k) is its key edge's 1/(d_u d_v), taken
+    once per edge from the exact int64 degree product.
     """
     deg = g.degrees()
-    slot_deg = deg[np.stack((g.u, g.v), axis=1).ravel()]  # d_i of slot 2e + o
-    edge_deg = deg[g.u] + deg[g.v]
+    inv = 1.0 / (deg[g.u] * deg[g.v])  # the weight of every term keyed by edge e
     del deg  # per vertex: not needed alongside the terms
     terms, s = _wedge_terms(g, tri)
     mask = (1 << s) - 1
@@ -180,21 +186,23 @@ def wedge_likelihoods(g: SignedGraph, tri: TriangleEdges) -> np.ndarray:
             stop = int(np.searchsorted(terms, ((terms[stop - 1] >> s) + 1) << s))
         block = terms[start:stop]
         slot = block >> s
-        d_i = slot_deg[slot]
-        d_k = edge_deg[block & mask] - d_i
         wedge[slot[0]:slot[-1] + 1] = np.bincount(
-            slot - slot[0], weights=1.0 / (d_i * d_k)
+            slot - slot[0], weights=inv[block & mask]
         )
         start = stop
     return wedge
 
 
-def em_responsibilities(rho: float, wedge: np.ndarray, random_lik: np.ndarray) -> np.ndarray:
+def em_responsibilities(
+    rho: float, wedge: np.ndarray, random_lik: np.ndarray, out: np.ndarray, spare: np.ndarray
+) -> np.ndarray:
     """``em_edge_responsibility`` of edge orientations, elementwise, from their
-    wedge and random-insertion likelihoods. Every wedge likelihood must be
-    nonzero, so that w + r > 0 even at rho = 1."""
-    w = rho * wedge
-    return w / (w + (1.0 - rho) * random_lik)
+    wedge and random-insertion likelihoods, written into and returned as
+    ``out``; ``spare`` is scratch of the same length. Every wedge likelihood
+    must be nonzero, so that w + r > 0 even at rho = 1."""
+    w = np.multiply(rho, wedge, out=out)
+    r = np.multiply(1.0 - rho, random_lik, out=spare)
+    return np.divide(w, np.add(w, r, out=spare), out=out)
 
 
 def em_learn_rho(
@@ -204,21 +212,24 @@ def em_learn_rho(
     given the wedge likelihoods (``wedge_likelihoods``) of ``g``.
 
     A deterministic full-batch fixed point. An orientation without wedge
-    likelihood has responsibility 0, so only the others are scored.
+    likelihood has responsibility 0, so only the others are scored, every
+    iteration into the same two buffers.
     Returns the final rho (clamped away from {0, 1}) and the trace.
     """
     if g.m == 0:
         raise EmptyGraphError("cannot learn on an empty graph")
-    slots = np.flatnonzero(wedge)
+    scored = wedge != 0.0
+    wedge = wedge[scored]
     # Random-insertion likelihood d_j / 2M of the far endpoint, per slot.
-    deg = g.degrees()
-    far = np.where(slots & 1, deg[g.u[slots >> 1]], deg[g.v[slots >> 1]])
-    random_lik = far / (2.0 * g.m)
-    wedge = wedge[slots]
+    far = np.stack((g.v, g.u), axis=1).ravel()[scored]
+    random_lik = g.degrees()[far] / (2.0 * g.m)
+    del scored, far
+    out, spare = np.empty_like(wedge), np.empty_like(wedge)
     rho = RHO_INIT
     trace = []
     for it in range(cfg.em_max_iters):
-        new_rho = float(em_responsibilities(rho, wedge, random_lik).sum()) / (2 * g.m)
+        resp = em_responsibilities(rho, wedge, random_lik, out, spare)
+        new_rho = float(resp.sum()) / (2 * g.m)
         delta = abs(new_rho - rho)
         trace.append({"iteration": it, "rho": new_rho, "delta": delta})
         rho = new_rho

@@ -299,8 +299,8 @@ def test_em_equals_per_edge_oracle_bit_for_bit(name, block, seed, monkeypatch):
     score = learn.em_responsibilities
     scored = []
 
-    def spy(rho, w, r):  # records every slot's responsibility, 0 if unscored
-        resp = score(rho, w, r)
+    def spy(rho, w, r, *buffers):  # records every slot's responsibility, 0 if unscored
+        resp = score(rho, w, r, *buffers)
         scored.append(np.zeros(2 * g.m))
         scored[-1][np.flatnonzero(wedge)] = resp
         return resp
@@ -350,10 +350,12 @@ def test_learn_leaves_the_input_without_a_listing():
 def test_learn_transient_memory_per_triangle(monkeypatch):
     # The tracemalloc peak of learn after the input was measured, per
     # triangle, with blocks small enough that the whole-listing arrays
-    # dominate. Reading only the kept edge indices, learn peaks at 74 B per
-    # triangle on this input, 48 B of it the sorted wedge terms. Recovering
-    # each triangle's vertices from them would peak at 86, which the bound
-    # fails, and listing the triangles again at 148.
+    # dominate. Reading only the kept edge indices, learn peaks at 65.5 B
+    # per triangle on this input, 48 B of it the sorted wedge terms. The
+    # bound was set when learn peaked at 74 here, with a per-slot degree
+    # array and nine gathers for the orientation bits, to fail a learn
+    # that recovered each triangle's vertices (86) or listed the triangles
+    # again (148).
     monkeypatch.setattr(metrics, "WEDGE_BLOCK", 1024)
     monkeypatch.setattr(learn, "TERM_BLOCK", 1024)
     g = power_law_signed_graph(6000, 20000, seed=21, gamma=2.1)
@@ -370,9 +372,10 @@ def test_learn_transient_memory_per_triangle(monkeypatch):
 def test_learn_again_transient_memory_per_triangle(monkeypatch):
     # A second learn on one graph lists its triangles again, since the
     # first took the kept listing. The listing is the three int32 edge
-    # indices that learn reads, so the peak is 86 B per triangle on this
-    # input; a listing that also gathered each triangle's vertices x, a and
-    # b, all as int64, peaked at 122.
+    # indices that learn reads, so the peak is 77.5 B per triangle on this
+    # input. The bound was set when it was 86, with a per-slot degree array
+    # and nine gathers for the orientation bits, to fail a listing that
+    # also gathered each triangle's vertices x, a and b, all as int64 (122).
     monkeypatch.setattr(metrics, "WEDGE_BLOCK", 1024)
     monkeypatch.setattr(learn, "TERM_BLOCK", 1024)
     g = power_law_signed_graph(6000, 20000, seed=21, gamma=2.1)
@@ -514,6 +517,35 @@ def test_learned_parameters_do_not_depend_on_when_the_input_is_measured(g, iters
     assert learned(after, cfg) == alone  # its listing was taken: listed again
     rho, _ = em_learn_rho(g, cfg, learn.wedge_likelihoods(g, list_triangles(g)))
     assert alone[0][0] == float.hex(rho)
+
+
+@given(
+    small_signed_graphs() | triangle_free_graphs(),
+    st.integers(1, 12),
+    st.sampled_from([RHO_EPS, 0.5, 1.0 - RHO_EPS]),
+)
+@settings(max_examples=150, deadline=None)
+def test_em_buffers_carry_nothing_between_calls(g, iters, rho):
+    # EM scores every iteration into two buffers it allocates once. Nothing
+    # may leak between calls or into the caller's wedge array, and a
+    # buffered score must equal the plain expression's bytes, also on the
+    # empty arrays of a triangle-free input.
+    wedge = learn.wedge_likelihoods(g, list_triangles(g))
+    before = wedge.tobytes()
+    cfg = LearnConfig(em_tol=0.0, em_max_iters=iters)
+    runs = [
+        [float.hex(final)] + [float.hex(step[k]) for step in trace for k in ("rho", "delta")]
+        for final, trace in (em_learn_rho(g, cfg, wedge) for _ in range(2))
+    ]
+    assert runs[0] == runs[1]
+    assert wedge.tobytes() == before
+    scored = wedge != 0.0
+    w = wedge[scored]
+    r = g.degrees()[np.stack((g.v, g.u), axis=1).ravel()[scored]] / (2.0 * g.m)
+    out, spare = np.full_like(w, np.nan), np.full_like(w, np.nan)
+    got = learn.em_responsibilities(rho, w, r, out, spare)
+    assert got is out
+    assert got.tobytes() == (rho * w / (rho * w + (1 - rho) * r)).tobytes()
 
 
 def wedge_likelihoods_oracle(g, tri):
