@@ -3,7 +3,7 @@ analyze -> learn -> generate -> evaluate, plus a parameter-grid sweep.
 
 Each stage is a plain function of the input graph; a command reads the
 input once and ``pipeline`` passes its one graph to every stage, so the
-graph's memoized stats serve the whole command.
+graph's one measurement (``metrics.stats_report``) serves the whole command.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 from functools import partial
 
 import click
@@ -77,38 +77,35 @@ def analyze(input_path, out_dir):
 def _analyze(g, input_path, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     stats = stats_report(g)
+    degrees = g.degrees().tolist()
+    histogram = sorted(Counter(degrees).items())  # (degree, vertex count)
     _write_json(
         os.path.join(out_dir, "stats.json"),
         {
-            "n": stats.n,
-            "m": stats.m,
-            "m_positive": stats.m_positive,
+            "n": g.n,
+            "m": g.m,
+            "m_positive": g.m_positive,
             "eta": stats.eta,
             "delta_b": stats.delta_b,
             "triangle_counts": stats.census.as_counts(),
             "triangle_distribution": stats.census.distribution(),
-            "degree_histogram": {str(k): v for k, v in sorted(stats.degree_histogram.items())},
+            "degree_histogram": {str(k): v for k, v in histogram},
         },
     )
+    _write_tsv(os.path.join(out_dir, "degree_histogram.tsv"), ["degree", "count"], histogram)
+    clustering = list(zip(degrees, stats.clustering.tolist()))
     _write_tsv(
-        os.path.join(out_dir, "degree_histogram.tsv"),
-        ["degree", "count"],
-        sorted(stats.degree_histogram.items()),
-    )
-    _write_tsv(
-        os.path.join(out_dir, "clustering_raw.tsv"),
-        ["degree", "coefficient"],
-        [(d, c) for d, c in zip(stats.degrees, stats.clustering)],
+        os.path.join(out_dir, "clustering_raw.tsv"), ["degree", "coefficient"], clustering
     )
     by_degree = defaultdict(list)
-    for d, c in zip(stats.degrees, stats.clustering):
+    for d, c in clustering:
         by_degree[d].append(c)
     _write_tsv(
         os.path.join(out_dir, "clustering_by_degree.tsv"),
         ["degree", "mean_coefficient"],
         [(d, float(np.mean(cs))) for d, cs in sorted(by_degree.items())],
     )
-    click.echo(f"analyzed {input_path}: N={stats.n} M={stats.m} eta={stats.eta:.3f}")
+    click.echo(f"analyzed {input_path}: N={g.n} M={g.m} eta={stats.eta:.3f}")
 
 
 @main.command()

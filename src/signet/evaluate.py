@@ -34,10 +34,10 @@ def triangle_l1(dist_a: dict[str, float], dist_b: dict[str, float]) -> float:
     return sum(abs(dist_a[k] - dist_b[k]) for k in TRIANGLE_TYPES)
 
 
-def _stats_block(stats: GraphStats) -> dict:
+def _stats_block(g: SignedGraph, stats: GraphStats) -> dict:
     return {
-        "n": stats.n,
-        "m": stats.m,
+        "n": g.n,
+        "m": g.m,
         "eta": stats.eta,
         "delta_b": stats.delta_b,
         "triangle_counts": stats.census.as_counts(),
@@ -47,14 +47,14 @@ def _stats_block(stats: GraphStats) -> dict:
 
 
 def _delta_block(input_stats: GraphStats, input_degrees: np.ndarray,
-                 gen_stats: GraphStats) -> dict:
+                 gen_stats: GraphStats, gen_degrees: np.ndarray) -> dict:
     return {
         "abs_eta_diff": abs(gen_stats.eta - input_stats.eta),
         "abs_delta_b_diff": abs(gen_stats.delta_b - input_stats.delta_b),
         "triangle_l1": triangle_l1(
             input_stats.census.distribution(), gen_stats.census.distribution()
         ),
-        "degree_ks": ks_statistic(input_degrees, gen_stats.degrees),
+        "degree_ks": ks_statistic(input_degrees, gen_degrees),
     }
 
 
@@ -73,10 +73,10 @@ def evaluate(g_input: SignedGraph, generated: Sequence[SignedGraph]) -> Evaluati
 
     A generated network does not keep the triangle listing of its
     measurement, which nothing reads again; the input keeps its own for
-    ``learn``. The input's degrees become one array for every KS statistic.
+    ``learn``. The input's degrees are computed once, for every KS statistic.
     """
     input_stats = stats_report(g_input)
-    input_degrees = np.asarray(input_stats.degrees)
+    input_degrees = g_input.degrees()
     runs = []
     for idx, g in enumerate(generated):
         gs = stats_report(g)
@@ -84,8 +84,8 @@ def evaluate(g_input: SignedGraph, generated: Sequence[SignedGraph]) -> Evaluati
         runs.append(
             {
                 "run": idx,
-                "stats": _stats_block(gs),
-                "deltas": _delta_block(input_stats, input_degrees, gs),
+                "stats": _stats_block(g, gs),
+                "deltas": _delta_block(input_stats, input_degrees, gs, g.degrees()),
             }
         )
     mean: dict = {}
@@ -99,5 +99,5 @@ def evaluate(g_input: SignedGraph, generated: Sequence[SignedGraph]) -> Evaluati
                 np.mean([r["stats"]["triangle_distribution"][t] for r in runs])
             )
     return EvaluationReport(
-        input_stats=_stats_block(input_stats), runs=runs, mean=mean
+        input_stats=_stats_block(g_input, input_stats), runs=runs, mean=mean
     )

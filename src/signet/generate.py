@@ -21,12 +21,12 @@ take them one at a time with ``next()``.
 There is one path through the rounds. The STCL baseline
 (``baseline.stcl_generate``, through ``_iid_generate``) keeps their
 topology and draws each sign i.i.d., positive with probability alpha.
-``generate`` remembers each network it returns on its input, weakly, under
-(rho, str(seed)). STCL on the same input, rho and seed takes the (u, v)
-columns of such a network while the caller still holds it, and is measured
-from it at once (``metrics.measure_twin``). Otherwise it runs the rounds
-itself, at its own parameters, and keeps only their columns: the
-balance-aware signs they draw are discarded. Either way its signs are one
+``generate`` remembers each network it returns in ``_held``, weakly, under
+its input and (rho, str(seed)). STCL on the same input, rho and seed takes
+the (u, v) columns of such a network while the caller still holds it, and
+is measured from it at once (``metrics.measure_twin``). Otherwise it runs
+the rounds itself, at its own parameters, and keeps only their columns:
+the balance-aware signs they draw are discarded. Either way its signs are one
 numpy comparison over a fresh sign stream. Step t writes ring slot t, and
 after M steps ``head`` is back at 0, so output edge t is step t's edge. Its
 sign is positive iff uniform t of the sign stream, counted after the blocks
@@ -76,6 +76,10 @@ from .metrics import measure_twin
 STEP_RETRY_BUDGET = 100
 WEDGE_WALK_RETRIES = 10
 BLOCK = 4096  # 64-bit words per read of a random stream
+
+# The networks ``generate`` made that their callers still hold: input ->
+# {(rho, str(seed)): network}. An entry goes when its graph is freed.
+_held = weakref.WeakKeyDictionary()
 
 
 def _words(rng: random.Random, blocks: int) -> np.ndarray:
@@ -332,12 +336,10 @@ def generate(g_input: SignedGraph, params: ModelParams, seed: int) -> SignedGrap
     """Generate a synthetic signed network with the input's size and
     sampling vector. Deterministic for a fixed (input, params, seed); the
     (u, v) columns depend only on (input, params.rho, seed). The network is
-    remembered on ``g_input`` for as long as the caller holds it.
+    remembered in ``_held`` for as long as the caller holds it.
     """
     out = _generate(g_input, params, seed)
-    if g_input._generated is None:
-        object.__setattr__(g_input, "_generated", weakref.WeakValueDictionary())
-    g_input._generated[params.rho, str(seed)] = out
+    _held.setdefault(g_input, weakref.WeakValueDictionary())[params.rho, str(seed)] = out
     return out
 
 
@@ -347,8 +349,7 @@ def _iid_generate(g_input: SignedGraph, params: ModelParams, seed: int) -> Signe
     ``baseline.stcl_generate``. The (u, v) columns are those of a held
     network of ``generate``'s, or else of the same rounds run here, whose
     own signs are discarded (see the module docstring)."""
-    memo = g_input._generated
-    held = memo.get((params.rho, str(seed))) if memo is not None else None
+    held = _held.get(g_input, {}).get((params.rho, str(seed)))
     topology = held if held is not None else _generate(g_input, params, seed)
     m = topology.m
     fcl = -(-m // BLOCK)  # the blocks FCL's sign ranking reads

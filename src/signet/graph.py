@@ -7,23 +7,24 @@ smaller endpoint ``u``, the larger endpoint ``v`` and the ``sign`` (+1 or
 as integer rows (u, v, sign): an (m, 3) integer array, or a list of int or
 ``Sign`` triples. ``edges`` rebuilds the (u, v, Sign) triples on demand;
 an algorithm that walks neighbours builds the index it needs.
+
+A graph is a plain value: its columns, ``n`` and ``labels``, and nothing
+else. What is derived from it is kept by the module that derives it,
+keyed by the graph, which hashes by identity: ``metrics`` keeps its
+measurement and triangle listing, ``generate`` the networks made from it.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import weakref
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
 
 from .errors import DuplicateEdgeError, EmptyGraphError, SelfLoopError
-
-if TYPE_CHECKING:
-    from .metrics import GraphStats, TriangleEdges
 
 
 class Sign(enum.IntEnum):
@@ -55,19 +56,6 @@ class SignedGraph:
     v: np.ndarray  # int64, larger endpoint
     sign: np.ndarray  # int8, +1 or -1
     labels: Optional[tuple] = None
-    # The graph's measured properties, set once by ``metrics.stats_report``,
-    # or by ``metrics.measure_twin`` when an STCL twin is made.
-    _stats: Optional[GraphStats] = field(default=None, init=False, repr=False)
-    # The triangle listing of that measurement (its three edge-index
-    # columns) until ``learn`` takes it (``metrics.take_triangles``) and
-    # reads its wedge likelihoods from them, ``evaluate`` drops it, or an
-    # STCL twin takes it to be measured (``metrics.measure_twin``).
-    _triangles: Optional[TriangleEdges] = field(default=None, init=False, repr=False)
-    # The networks ``generate`` made from this graph and the caller still
-    # holds, keyed by (rho, str(seed)); set on its first call.
-    _generated: Optional[weakref.WeakValueDictionary] = field(
-        default=None, init=False, repr=False
-    )
 
     @property
     def m(self) -> int:

@@ -32,7 +32,6 @@ import numpy as np
 from .errors import EmptyResultError, MalformedRowError, ParseError
 from .graph import MAX_VERTEX_ID, SignedGraph, build_graph
 
-DATA_DIR_ENV = "SIGNET_DATA_DIR"
 WRITE_BLOCK = 1 << 16  # rows per write: bounds the row strings alive at once
 READ_BLOCK = 1 << 16  # characters per read of the NUL scan
 
@@ -260,16 +259,3 @@ def read_graph(path: str | os.PathLike) -> SignedGraph:
             fh.seek(0)
             return ingest_ratings(parse_rating_lines(fh))
     return read_canonical(path)
-
-
-def resolve_dataset(name: str) -> Optional[str]:
-    """Locate a dataset file by name, trying SIGNET_DATA_DIR then ./data."""
-    candidates = []
-    root = os.environ.get(DATA_DIR_ENV)
-    if root:
-        candidates.append(os.path.join(root, name))
-    candidates.append(os.path.join("data", name))
-    for path in candidates:
-        if os.path.exists(path):
-            return path
-    return None

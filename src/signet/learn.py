@@ -11,9 +11,9 @@ written into two buffers allocated once, each responsibility equal bit for
 bit to the scalar definition's.
 ``learn_parameters`` reads eta and the census from the input's measurement
 (``metrics.stats_report``) and the wedge likelihoods from that
-measurement's triangle listing, each triangle's three edge indices, kept
-on the input until learn takes it: the input's triangles are listed once
-across analyze and learn.
+measurement's triangle listing, each triangle's three edge indices, which
+``metrics`` keeps for the input until learn takes it: the input's
+triangles are listed once across analyze and learn.
 """
 
 from __future__ import annotations
@@ -275,7 +275,7 @@ def learn_parameters(g: SignedGraph, cfg: Optional[LearnConfig] = None) -> Model
 
     eta and the census come from ``stats_report(g)``, which measures ``g``
     unless that was done before, and the wedge likelihoods from the
-    listing it kept, which ``g`` no longer holds once they are computed.
+    listing it kept, which is no longer kept once they are computed.
     """
     cfg = cfg or LearnConfig()
     warnings: list[str] = []

@@ -1,8 +1,9 @@
 """Measured properties of signed networks.
 
-Covers the sign ratio, the full signed triangle census (with per-vertex
-triangle counts feeding local clustering), the balanced-triangle fraction
-Δ_B and the degree histogram.
+Covers the sign ratio, the full signed triangle census, the
+balanced-triangle fraction Δ_B and each vertex's local clustering (from its
+triangle count). Sizes and degrees are the graph's own (``g.n``, ``g.m``,
+``g.m_positive``, ``g.degrees()``).
 
 Triangles come from one vectorised listing (``list_triangles``) over the
 graph's edge columns, Latapy's forward algorithm in numpy: each forward
@@ -13,25 +14,26 @@ the keys that lost their slot searched in a small sorted spill. A listing
 is its three edge-index columns (``TriangleEdges``, int32 while
 M < 2^31): the census, the per-vertex triangle counts behind clustering
 and the EM wedge likelihoods in ``learn`` all read those columns alone.
-``stats_report`` measures a graph once: its result is kept on the graph,
-so analyze, learn, evaluate and sweep share one measurement of the input.
-The measurement keeps its listing in the graph's ``_triangles`` slot, so
-the input's triangles are listed once across analyze and learn:
-``take_triangles`` hands them to learn, which leaves the graph without a
-listing, and ``evaluate`` drops a generated network's as soon as it has
-measured it.
-An STCL network made from a held network of ``generate``'s (same (u, v)
-columns, other signs) is measured when it is made, by ``measure_twin``: it
-reuses that network's degrees, clustering and histogram and counts its
+
+This module keeps, weakly keyed by the graph (which hashes by identity),
+each graph's measurement and the listing that measurement made. A graph is
+measured once (``stats_report``), so analyze, learn, evaluate and sweep
+share one measurement of the input. The listing is kept until
+``take_triangles`` hands it to learn, ``drop_triangles`` drops it
+(``evaluate`` does, once it has measured a generated network) or an STCL
+twin takes it, so the input's triangles are listed once across analyze
+and learn. An STCL network made from a held network of ``generate``'s
+(same (u, v) columns, other signs) is measured when it is made, by
+``measure_twin``: it shares that network's clustering array and counts its
 census over that network's listing, which the held network then gives up.
+Either map lets an entry go when its graph is freed.
 """
 
 from __future__ import annotations
 
 import mmap
-from collections import Counter
-from dataclasses import dataclass, replace
-from types import MappingProxyType
+import weakref
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -78,17 +80,16 @@ class TriangleCensus:
         return {k: c / t for k, c in self.as_counts().items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphStats:
+    """What a graph's triangle listing gives: its sign ratio, census and
+    balanced fraction, and each vertex's clustering coefficient as one
+    read-only float64 array."""
+
     eta: float
     delta_b: float
-    degrees: tuple[int, ...]
     census: TriangleCensus
-    clustering: tuple[float, ...]
-    degree_histogram: MappingProxyType  # degree -> vertex count, read-only
-    n: int
-    m: int
-    m_positive: int
+    clustering: np.ndarray
 
 
 def compute_eta(g: SignedGraph) -> float:
@@ -108,6 +109,12 @@ class TriangleEdges(NamedTuple):
     xa: np.ndarray
     xb: np.ndarray
     ab: np.ndarray
+
+
+# Each measured graph's measurement, and the listing it made until it is
+# taken or dropped; an entry goes when its graph is freed.
+_stats = weakref.WeakKeyDictionary()  # SignedGraph -> GraphStats
+_triangles = weakref.WeakKeyDictionary()  # SignedGraph -> TriangleEdges
 
 
 def list_triangles(g: SignedGraph) -> TriangleEdges:
@@ -231,35 +238,35 @@ def stats_report(g: SignedGraph) -> GraphStats:
     first call for ``g`` and returned again by every later one.
     ``clustering`` is each vertex's c_i = 2 T_i / (d_i (d_i - 1)), 0 when
     d_i < 2."""
-    if g._stats is None:
-        object.__setattr__(g, "_stats", _measure(g))
-    return g._stats
+    stats = _stats.get(g)
+    if stats is None:
+        stats = _stats[g] = _measure(g)
+    return stats
 
 
 def measure_twin(g: SignedGraph, twin: SignedGraph) -> None:
     """Measure ``g`` from ``twin``, a network with the same (u, v) columns
-    and other signs: ``g``'s measurement is ``stats_report(twin)`` with
-    ``g``'s own eta, m_positive, census and delta_b, the census counted over
-    the listing that ``take_triangles(twin)`` hands over."""
+    and other signs: ``g`` shares ``stats_report(twin)``'s clustering and
+    has its own eta, census and delta_b, the census counted over the
+    listing that ``take_triangles(twin)`` hands over."""
     census = triangle_census(g, take_triangles(twin))
-    object.__setattr__(g, "_stats", replace(
-        stats_report(twin), eta=compute_eta(g), delta_b=census.delta_b,
-        census=census, m_positive=g.m_positive,
-    ))
+    _stats[g] = GraphStats(
+        eta=compute_eta(g), delta_b=census.delta_b, census=census,
+        clustering=stats_report(twin).clustering,
+    )
 
 
 def take_triangles(g: SignedGraph) -> TriangleEdges:
-    """``g``'s measurement's listing (``stats_report``), after which ``g``
-    holds none. If an earlier call took it, ``g`` is listed again."""
+    """``g``'s measurement's listing (``stats_report``), after which none
+    is kept for ``g``. If an earlier call took it, ``g`` is listed again."""
     stats_report(g)
-    edges = g._triangles
-    drop_triangles(g)
+    edges = _triangles.pop(g, None)
     return list_triangles(g) if edges is None else edges
 
 
 def drop_triangles(g: SignedGraph) -> None:
-    """Let ``g`` stop holding the listing its measurement kept."""
-    object.__setattr__(g, "_triangles", None)
+    """Stop keeping the listing ``g``'s measurement made."""
+    _triangles.pop(g, None)
 
 
 def _kept(columns: list[np.ndarray]) -> np.ndarray:
@@ -288,17 +295,8 @@ def _measure(g: SignedGraph) -> GraphStats:
     d = g.degrees()
     clustering = np.zeros(g.n)
     np.divide(twice, d * (d - 1), out=clustering, where=d >= 2)
-    degrees = d.tolist()
-    stats = GraphStats(
-        eta=compute_eta(g),
-        delta_b=census.delta_b,
-        degrees=tuple(degrees),
-        census=census,
-        clustering=tuple(clustering.tolist()),
-        degree_histogram=MappingProxyType(dict(Counter(degrees))),
-        n=g.n,
-        m=g.m,
-        m_positive=g.m_positive,
-    )
-    object.__setattr__(g, "_triangles", edges)
+    clustering.flags.writeable = False
+    stats = GraphStats(eta=compute_eta(g), delta_b=census.delta_b, census=census,
+                       clustering=clustering)
+    _triangles[g] = edges
     return stats

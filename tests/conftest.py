@@ -7,7 +7,7 @@ import pytest
 
 from signet import metrics
 from signet.graph import Sign, SignedGraph, build_graph
-from signet.metrics import TriangleEdges
+from signet.metrics import GraphStats, TriangleEdges
 
 
 def sign_lookup(g: SignedGraph) -> dict[tuple[int, int], Sign]:
@@ -16,6 +16,14 @@ def sign_lookup(g: SignedGraph) -> dict[tuple[int, int], Sign]:
     for u, v, s in g.edges:
         signs[u, v] = signs[v, u] = s
     return signs
+
+
+def same_measurement(a: GraphStats, b: GraphStats) -> bool:
+    """Whether two measurements hold equal values, clustering bit for bit
+    (GraphStats compares by identity, as its clustering is an array)."""
+    return (a.eta, a.delta_b, a.census, a.clustering.tobytes()) == (
+        b.eta, b.delta_b, b.census, b.clustering.tobytes()
+    )
 
 
 def neighbor_rows(g: SignedGraph) -> list[list[int]]:

@@ -9,6 +9,7 @@ analogues of those checks run unconditionally.
 
 import itertools
 import json
+import os
 import random
 import time
 
@@ -21,7 +22,7 @@ from signet.cli import main as cli_main
 from signet.estimators import delta_random_fast
 from signet.evaluate import evaluate, ks_statistic, triangle_l1
 from signet.generate import generate
-from signet.io import read_graph, resolve_dataset, write_canonical
+from signet.io import read_graph, write_canonical
 from signet.learn import LearnConfig, ModelParams, learn_parameters
 from signet.metrics import list_triangles, stats_report, triangle_census
 from tests.conftest import (
@@ -40,6 +41,22 @@ OTC_DATASET_NAMES = (
     "bitcoin-otc.csv", "bitcoinotc.csv", "soc-sign-bitcoinotc.csv",
     "bitcoin-otc.tsv", "soc-sign-bitcoin-otc.csv",
 )
+
+
+DATA_DIR_ENV = "SIGNET_DATA_DIR"
+
+
+def resolve_dataset(name):
+    """Locate a dataset file by name, trying SIGNET_DATA_DIR then ./data."""
+    candidates = []
+    root = os.environ.get(DATA_DIR_ENV)
+    if root:
+        candidates.append(os.path.join(root, name))
+    candidates.append(os.path.join("data", name))
+    for path in candidates:
+        if os.path.exists(path):
+            return path
+    return None
 
 
 def _line(num, ok, detail):

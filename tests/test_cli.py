@@ -1,4 +1,5 @@
 import gc
+import importlib
 import itertools
 import json
 import os
@@ -6,7 +7,7 @@ import tempfile
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from signet import cli
@@ -47,6 +48,21 @@ def test_analyze_k3(runner, k3_file, tmp_path):
     assert (out / "degree_histogram.tsv").read_text().startswith("# columns: degree count")
     assert (out / "clustering_raw.tsv").exists()
     assert (out / "clustering_by_degree.tsv").exists()
+
+
+def test_analyze_star_histogram(runner, tmp_path):
+    # The histogram is derived from the graph's degrees by analyze itself;
+    # its counts sum to n.
+    path = tmp_path / "star.tsv"
+    path.write_text("".join(f"0\t{i}\t+1\n" for i in (1, 2, 3)))
+    out = tmp_path / "analysis"
+    result = runner.invoke(main, ["analyze", str(path), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    stats = json.loads((out / "stats.json").read_text())
+    assert stats["degree_histogram"] == {"1": 3, "3": 1}
+    assert sum(stats["degree_histogram"].values()) == stats["n"] == 4
+    assert stats["delta_b"] == 0.0  # no triangles
+    assert (out / "degree_histogram.tsv").read_text().splitlines()[1:] == ["1\t3", "3\t1"]
 
 
 def test_analyze_malformed_file_nonzero_exit(runner, tmp_path):
@@ -315,7 +331,7 @@ def test_sweep_holds_no_generated_network(runner, network_file, tmp_path, monkey
     assert result.exit_code == 0, result.output
     (g,) = reads
     gc.collect()
-    assert g._generated is not None and len(g._generated) == 0
+    assert len(importlib.import_module("signet.generate")._held[g]) == 0
 
 
 def test_evaluate_measures_generated_networks_over_the_input_n(
@@ -497,10 +513,10 @@ def _pairs(draw, n, min_size, max_size):
 @st.composite
 def degenerate_inputs(draw):
     """The rows (u, v, sign) of a tiny, triangle-free, single-sign,
-    disconnected or dense-but-not-complete graph with a few dozen edges at
-    most."""
+    disconnected, dense-but-not-complete or near-complete (K5 to K8 without
+    one edge) graph with a few dozen edges at most."""
     shape = draw(st.sampled_from(
-        ["tiny", "triangle-free", "single-sign", "disconnected", "dense"]
+        ["tiny", "triangle-free", "single-sign", "disconnected", "dense", "near-complete"]
     ))
     if shape == "tiny":
         pairs = _pairs(draw, draw(st.integers(2, 4)), 1, 3)
@@ -512,6 +528,10 @@ def degenerate_inputs(draw):
         k = draw(st.integers(4, 7))
         missing = set(_pairs(draw, k, 1, 3))
         pairs = [p for p in itertools.combinations(range(k), 2) if p not in missing]
+    elif shape == "near-complete":  # K_k without one edge: one free pair
+        every = list(itertools.combinations(range(draw(st.integers(5, 8))), 2))
+        missing = draw(st.sampled_from(every))
+        pairs = [p for p in every if p != missing]
     elif shape == "disconnected":  # two components, the second shifted past the first
         n = draw(st.integers(3, 6))
         pairs = _pairs(draw, n, 2, 10)
@@ -526,7 +546,17 @@ def degenerate_inputs(draw):
     return [(u, v, s) for (u, v), s in zip(pairs, signs)]
 
 
+def _all_positive_but_one_pair(k):
+    """K_k without its edge (0, 1), every edge positive: a single free pair
+    for every step to find."""
+    return [(u, v, 1) for u, v in itertools.combinations(range(k), 2) if (u, v) != (0, 1)]
+
+
 @given(degenerate_inputs(), st.integers(0, 2**16))
+@example(_all_positive_but_one_pair(5), 0)
+@example(_all_positive_but_one_pair(6), 0)
+@example(_all_positive_but_one_pair(7), 0)
+@example(_all_positive_but_one_pair(8), 0)
 @settings(max_examples=100, deadline=None)
 def test_pipeline_on_a_degenerate_input_writes_a_report_or_one_error(rows, seed):
     with tempfile.TemporaryDirectory() as tmp:

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from signet import evaluate as evaluate_module
+from signet import metrics
 from signet.baseline import stcl_generate
 from signet.evaluate import EvaluationReport, evaluate, ks_statistic, triangle_l1
 from signet.generate import generate
@@ -117,7 +118,7 @@ def test_evaluate_reads_the_input_degrees_as_one_array(monkeypatch):
     monkeypatch.setattr(evaluate_module, "ks_statistic", spy)
     report = evaluate(g, nets)
     assert isinstance(seen[0], np.ndarray) and all(a is seen[0] for a in seen)
-    expected = [ks_statistic(stats_report(g).degrees, stats_report(h).degrees) for h in nets]
+    expected = [ks_statistic(g.degrees(), h.degrees()) for h in nets]
     got = [r["deltas"]["degree_ks"] for r in report.runs]
     assert list(map(float.hex, got)) == list(map(float.hex, expected))
 
@@ -127,8 +128,8 @@ def test_evaluate_leaves_no_listing_on_a_network():
     params = ModelParams(rho=0.5, alpha=0.85, beta=0.9, eta=0.85, delta_b=0.8)
     net = generate(g, params, seed=1)
     evaluate(g, [net])
-    assert net._stats is not None and net._triangles is None
-    assert g._triangles is not None  # kept for learn
+    assert net in metrics._stats and net not in metrics._triangles
+    assert g in metrics._triangles  # kept for learn
 
 
 def test_a_batch_and_its_stcl_twins_list_each_topology_once(listings):

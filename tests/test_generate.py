@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from signet import metrics
 from signet.baseline import stcl_generate
 from signet.errors import (
     NoCommonNeighborError,
@@ -37,7 +38,7 @@ from signet.graph import Sign, build_graph, build_sampling_vector
 from signet.io import read_graph, write_canonical
 from signet.learn import LearnConfig, ModelParams, learn_parameters
 from signet.metrics import compute_eta, stats_report
-from tests.conftest import power_law_signed_graph, sign_lookup
+from tests.conftest import power_law_signed_graph, same_measurement, sign_lookup
 
 G = importlib.import_module("signet.generate")
 
@@ -868,7 +869,7 @@ def test_stcl_is_the_same_with_and_without_a_held_network(g, rho, alpha, beta, e
     except SignetError as exc:
         assert cold is type(exc)
         return
-    assert g._generated[rho, str(seed)] is held
+    assert G._held[g][rho, str(seed)] is held
     assert columns(stcl_generate(g, rho, seed)) == cold
 
 
@@ -897,9 +898,20 @@ def test_generated_networks_are_held_weakly(monkeypatch):
     assert steps[0] == 3 * g.m
     del net
     gc.collect()
-    assert len(g._generated) == 0
+    assert len(G._held[g]) == 0
     stcl_generate(g, 0.6, seed=3)
     assert steps[0] == 4 * g.m
+
+
+def test_a_freed_input_leaves_no_held_map():
+    # generate keeps its held networks weakly keyed by their input, so the
+    # map of a freed input goes with it, and so does a network held there.
+    g = ORACLE_GRAPHS["power-law"]()
+    net = generate(g, make_params(rho=0.6), seed=3)
+    kept = [weakref.ref(G._held[g]), weakref.ref(net)]
+    del g, net
+    gc.collect()
+    assert [entry() for entry in kept] == [None, None]
 
 
 @given(small_graphs(), unit, unit, unit, unit, st.integers(0, 2**32 - 1), st.booleans())
@@ -915,27 +927,26 @@ def test_a_network_and_its_stcl_twin_share_one_measurement(
     pair = (twin, net) if twin_first else (net, twin)
     first, second = map(stats_report, pair)
     for h, stats in zip(pair, (first, second)):
-        assert stats == stats_report(fresh(h))  # census, eta, delta_b and the rest
-    assert second.degrees is first.degrees
+        assert same_measurement(stats, stats_report(fresh(h)))
     assert second.clustering is first.clustering
-    assert second.degree_histogram is first.degree_histogram
 
 
 def test_a_network_and_its_twin_keep_no_listing():
-    # A graph measured alone keeps its listing in ``_triangles`` until learn
-    # takes it or evaluate drops it; an STCL twin made from a held network
-    # is measured at once over that network's listing, which it takes.
+    # A graph measured alone keeps its listing in ``metrics._triangles``
+    # until learn takes it or evaluate drops it; an STCL twin made from a
+    # held network is measured at once over that network's listing, which
+    # it takes.
     g = ORACLE_GRAPHS["power-law"]()
     cold = stcl_generate(g, 0.6, seed=3)  # no held network: the rounds run
-    assert cold._stats is None
+    assert cold not in metrics._stats
     alone = generate(g, make_params(rho=0.6), seed=4)
     for h in (g, cold, alone):
         stats_report(h)
-        assert h._triangles.xa.dtype == np.int32
+        assert metrics._triangles[h].xa.dtype == np.int32
     net = generate(g, make_params(rho=0.6), seed=3)
     twin = stcl_generate(g, 0.6, seed=3)
-    assert net._stats is not None and twin._stats is not None
-    assert net._triangles is None and twin._triangles is None
+    assert net in metrics._stats and twin in metrics._stats
+    assert net not in metrics._triangles and twin not in metrics._triangles
     held = weakref.ref(net)
     del net
     gc.collect()
@@ -955,20 +966,21 @@ def test_a_twin_made_after_its_network_was_measured_is_measured_from_it(
     twin = stcl_generate(g, 0.6, seed=3)
     # Learn took net's listing, so the twin lists net again.
     assert listings == ([net] if before == "measured" else [net, net])
-    assert twin._stats is not None and net._triangles is None
-    assert twin._stats == stats_report(fresh(twin))
-    assert twin._stats.degrees is net._stats.degrees
+    assert twin in metrics._stats and net not in metrics._triangles
+    assert same_measurement(metrics._stats[twin], stats_report(fresh(twin)))
+    assert metrics._stats[twin].clustering is metrics._stats[net].clustering
 
 
 def test_learn_on_a_network_with_a_twin_lists_it_again(listings):
     g = ORACLE_GRAPHS["power-law"]()
     net = generate(g, make_params(rho=0.6), seed=3)
     twin = stcl_generate(g, 0.6, seed=3)  # takes net's listing
-    twin_stats = twin._stats
+    twin_stats = metrics._stats[twin]
     learned = learn_parameters(net, LearnConfig(em_tol=0.0, em_max_iters=5))
     assert listings == [net, net]
-    assert twin._stats is twin_stats and twin_stats == stats_report(fresh(twin))
-    assert net._triangles is None
+    assert stats_report(twin) is twin_stats
+    assert same_measurement(twin_stats, stats_report(fresh(twin)))
+    assert net not in metrics._triangles
     alone = learn_parameters(fresh(net), LearnConfig(em_tol=0.0, em_max_iters=5))
     assert learned.to_dict() == alone.to_dict()
 
@@ -977,7 +989,7 @@ def test_seed_keys_the_memo_by_its_stream_name():
     # 1 == 1.0, but the streams are seeded from "1" and "1.0".
     g = ORACLE_GRAPHS["power-law"]()
     held = generate(g, make_params(rho=0.6), seed=1)
-    assert g._generated[0.6, "1"] is held
+    assert G._held[g][0.6, "1"] is held
     assert columns(stcl_generate(g, 0.6, 1.0)) == columns(stcl_generate(fresh(g), 0.6, 1.0))
 
 
